@@ -5,11 +5,9 @@
    Both files follow the vm1dp-distopt-profile/1 schema emitted by
    [main.exe distopt-profile]. The gated quantities are the deterministic
    ones — moves, windows, HPWL, alignments are a pure function of the
-   design and scale, so any drift is a real behaviour change — plus the
-   run's own invariants: the warm-cache replay must be byte-identical to
-   the cold pass (hit_is_miss) and the warm pass must actually hit the
-   cache. Wall-clock and percentile fields are printed for the log but
-   never gated; CI machines are too noisy for that. *)
+   design and scale, so any drift is a real behaviour change.
+   Wall-clock and percentile fields are printed for the log but never
+   gated; CI machines are too noisy for that. *)
 
 let read_json path =
   let ic = open_in path in
@@ -41,22 +39,6 @@ let get_float path j key =
       key;
     exit 2
 
-let get_bool path j key =
-  match Obs.Json.member key j with
-  | Some (Obs.Json.Bool v) -> v
-  | _ ->
-    Printf.eprintf "check_distopt_profile: %s: missing bool field %S\n" path
-      key;
-    exit 2
-
-let get_obj path j key =
-  match Obs.Json.member key j with
-  | Some (Obs.Json.Obj _ as o) -> o
-  | _ ->
-    Printf.eprintf "check_distopt_profile: %s: missing object field %S\n" path
-      key;
-    exit 2
-
 let () =
   let base_path, cur_path =
     match Sys.argv with
@@ -77,9 +59,6 @@ let () =
   Printf.printf "distopt cold_s: baseline %.3f, current %.3f (informational)\n"
     (get_float base_path base "distopt_cold_s")
     (get_float cur_path cur "distopt_cold_s");
-  Printf.printf "distopt warm_s: baseline %.3f, current %.3f (informational)\n"
-    (get_float base_path base "distopt_warm_s")
-    (get_float cur_path cur "distopt_warm_s");
   let bad = ref false in
   let gate_int key =
     let b = get_int base_path base key and c = get_int cur_path cur key in
@@ -93,17 +72,5 @@ let () =
   gate_int "moves";
   gate_int "hpwl_dbu";
   gate_int "alignments";
-  if not (get_bool cur_path cur "hit_is_miss") then begin
-    prerr_endline "REGRESSION: warm-cache replay diverged (hit_is_miss false)";
-    bad := true
-  end;
-  let wcache = get_obj cur_path cur "wcache" in
-  let hits = get_int cur_path wcache "hits" in
-  Printf.printf "wcache hits: %d (hit_rate %.2f)\n" hits
-    (get_float cur_path wcache "hit_rate");
-  if hits = 0 then begin
-    prerr_endline "REGRESSION: warm pass never hit the window cache";
-    bad := true
-  end;
   if !bad then exit 1;
   print_endline "distopt profile OK"

@@ -171,7 +171,7 @@ let render ~top_spans ~prev metrics health =
   in
   buf_addf b "  caches: %s   %s\n"
     (rate_line "artifact" (pair "serve.cache_hits" "serve.cache_misses"))
-    (rate_line "wcache" (pair "distopt.wcache_hits" "distopt.wcache_misses"));
+    (rate_line "result memo" (pair "serve.result_hits" "serve.result_misses"));
   buf_addf b "  alloc: minor words/window %s   minor words/subnet %s\n"
     (fmt_opt "%.0f"
        (fnum [ "cumulative"; "gauges"; "distopt.minor_words_per_window" ]

@@ -406,15 +406,6 @@ let race ?budget_ns thunks =
   let futs = List.map (fun f -> submit ?deadline_ns f) thunks in
   List.map Future.await futs
 
-(* --- domain-local slots --- *)
-
-module Dls = struct
-  type 'a slot = 'a Domain.DLS.key
-
-  let create init = Domain.DLS.new_key init
-  let get slot = Domain.DLS.get slot
-end
-
 (* --- deterministic loops --- *)
 
 let parallel_for ?(chunk = 1) n body =

@@ -122,25 +122,6 @@ val submit : ?deadline_ns:int64 -> (unit -> 'a) -> 'a Future.t
     path. *)
 val race : ?budget_ns:int64 -> (unit -> 'a) list -> 'a list
 
-(** {1 Domain-local slots} *)
-
-(** One lazily-initialised value per domain: the confinement tool for
-    per-domain caches used from pool workers (e.g. the window
-    memo-cache of the batch service). [get] never shares a value
-    across domains, so slot contents need no locking — the same
-    domain-confinement argument as [Serve.Cache], extended to code
-    that runs on the pool. *)
-module Dls : sig
-  type 'a slot
-
-  (** [create init] declares a slot; [init] runs once per domain, on
-      that domain's first [get]. *)
-  val create : (unit -> 'a) -> 'a slot
-
-  (** [get slot] is the calling domain's instance. *)
-  val get : 'a slot -> 'a
-end
-
 (** {1 Deterministic data-parallel loops} *)
 
 (** [parallel_map ?chunk f xs] is [Array.map f xs], computed in chunks

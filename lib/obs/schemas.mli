@@ -35,8 +35,8 @@ type id =
           manifest (the committed test/matrix_golden.json) *)
   | Distopt_profile
       (** [bench distopt-profile]: window-solver profile — per-window
-          solve-time percentiles, memo-cache hit rate, portfolio win
-          counts (the committed bench/distopt_profile_baseline.json) *)
+          solve-time percentiles, portfolio win counts, placement QoR
+          (the committed bench/distopt_profile_baseline.json) *)
   | Metrics
       (** [Serve.Telemetry]: the admin-plane [metrics] reply —
           cumulative + windowed metric views with latency percentiles

@@ -22,7 +22,6 @@ let one_shot ?(mode = `Greedy) (p : Place.Placement.t) params ~bw_um ~lx ~ly =
       mode;
       parallel = false;
       candidate_cost = None;
-      wcache = None;
     }
   in
   ignore (Vm1.Dist_opt.run p params base);

@@ -16,12 +16,15 @@ type t = {
   placements : Place.Placement.t store;
   externals : Place.Placement.t store;
   skeletons : Route.Grid.skeleton store;
+  results : Protocol.result store;
 }
 
 exception Rejected of string
 
 let c_hits = Obs.counter "serve.cache_hits"
 let c_misses = Obs.counter "serve.cache_misses"
+let c_result_hits = Obs.counter "serve.result_hits"
+let c_result_misses = Obs.counter "serve.result_misses"
 
 let new_store () = { table = Hashtbl.create 16; hits = 0; misses = 0 }
 
@@ -32,6 +35,7 @@ let create () =
     placements = new_store ();
     externals = new_store ();
     skeletons = new_store ();
+    results = new_store ();
   }
 
 let lookup store key make =
@@ -62,23 +66,22 @@ let netlist t ~lib ~name ~arch ~scale =
   lookup t.netlists (netlist_key ~name ~arch ~scale) (fun () ->
       Netlist.Designs.make ~lib ~scale name arch)
 
+let placement_key ~name ~arch ~scale ~utilization =
+  Printf.sprintf "%s/u%.17g" (netlist_key ~name ~arch ~scale) utilization
+
 let placement t ~design ~name ~arch ~scale ~utilization =
-  let key =
-    Printf.sprintf "%s/u%.17g" (netlist_key ~name ~arch ~scale) utilization
-  in
-  lookup t.placements key (fun () ->
+  lookup t.placements (placement_key ~name ~arch ~scale ~utilization) (fun () ->
       Report.Flow.prepare_placement ~utilization design)
 
 (* A rejected DEF counts as a miss but is never stored: only placements
    that survived binding and the legality oracle enter the table, so a
    hit can skip both. *)
+let external_key ~arch ~def_text =
+  Pdk.Cell_arch.to_string arch ^ "/" ^ Digest.to_hex (Digest.string def_text)
+
 let external_placement t ~lib ~arch ~def_text =
-  let key =
-    Pdk.Cell_arch.to_string arch ^ "/"
-    ^ Digest.to_hex (Digest.string def_text)
-  in
   match
-    lookup t.externals key (fun () ->
+    lookup t.externals (external_key ~arch ~def_text) (fun () ->
         match Io.Def.read lib def_text with
         | Error msg -> raise (Rejected msg)
         | Stdlib.Ok (design, pl) -> (
@@ -94,6 +97,21 @@ let grid_skeleton t p =
   lookup t.skeletons (Route.Grid.skeleton_key p) (fun () ->
       Route.Grid.skeleton p)
 
+(* The result memo is filled from the serve loop once a job has finished,
+   so unlike the artifact stores its lookup does not compute on a miss. *)
+let find_result t key =
+  match Hashtbl.find_opt t.results.table key with
+  | Some _ as r ->
+    t.results.hits <- t.results.hits + 1;
+    Obs.Counter.incr c_result_hits;
+    r
+  | None ->
+    t.results.misses <- t.results.misses + 1;
+    Obs.Counter.incr c_result_misses;
+    None
+
+let add_result t key r = Hashtbl.replace t.results.table key r
+
 let stats t =
   [
     ("external", t.externals.hits, t.externals.misses);
@@ -101,4 +119,5 @@ let stats t =
     ("library", t.libraries.hits, t.libraries.misses);
     ("netlist", t.netlists.hits, t.netlists.misses);
     ("placement", t.placements.hits, t.placements.misses);
+    ("result", t.results.hits, t.results.misses);
   ]

@@ -21,12 +21,19 @@
       byte-identical (checked by [test/test_serve.ml] and the
       [bench load] gate).
 
+    One more store memoises finished jobs: the [Protocol.result] of an
+    ok reply, keyed by the master placement's store key plus everything
+    else the flow reads from the request (see {!find_result}). The same
+    determinism argument makes an identical re-submission a hit that
+    skips the whole flow, not just the artifact start-up.
+
     A cache is confined to the domain that owns it: the daemon resolves
     artifacts on the submitting thread {e before} a job fans out to the
     pool, which is what keeps this module free of locks (and of the
     [domain-prims] lint rule). Hits and misses are counted both per
-    store ({!stats}) and in the [serve.cache_hits] / [serve.cache_misses]
-    observability counters. *)
+    store ({!stats}) and in observability counters: [serve.cache_hits] /
+    [serve.cache_misses] for the artifact stores, [serve.result_hits] /
+    [serve.result_misses] for the result memo. *)
 
 type t
 
@@ -54,6 +61,12 @@ val netlist :
   t -> lib:Pdk.Libgen.t -> name:Netlist.Designs.name ->
   arch:Pdk.Cell_arch.t -> scale:int -> Netlist.Design.t * outcome
 
+(** [placement_key ~name ~arch ~scale ~utilization] is the key of
+    {!placement}'s store. *)
+val placement_key :
+  name:Netlist.Designs.name -> arch:Pdk.Cell_arch.t -> scale:int ->
+  utilization:float -> string
+
 (** [placement t ~design ~name ~arch ~scale ~utilization] is the
     prepared input placement ([Report.Flow.prepare_placement]: global
     place + row-DP baseline), keyed by the netlist key plus the
@@ -64,6 +77,10 @@ val placement :
   t -> design:Netlist.Design.t -> name:Netlist.Designs.name ->
   arch:Pdk.Cell_arch.t -> scale:int -> utilization:float ->
   Place.Placement.t * outcome
+
+(** [external_key ~arch ~def_text] is the key of {!external_placement}'s
+    store: the architecture and the MD5 of the DEF text. *)
+val external_key : arch:Pdk.Cell_arch.t -> def_text:string -> string
 
 (** [external_placement t ~lib ~arch ~def_text] is the placement of an
     external-DEF job, keyed by (architecture, MD5 of the DEF text): the
@@ -85,6 +102,17 @@ val external_placement :
     die size share the skeleton. *)
 val grid_skeleton : t -> Place.Placement.t -> Route.Grid.skeleton * outcome
 
-(** [stats t] is [(store, hits, misses)] per artifact store, in a fixed
-    order: [external], [grid], [library], [netlist], [placement]. *)
+(** [find_result t key] is the memoised result of a finished job, or
+    [None]; either way it counts one hit or miss. The caller builds
+    [key] from the master placement's store key ({!placement_key} or
+    {!external_key}) plus the alpha, sequence and solver the flow runs
+    with, so equal keys mean byte-identical results. *)
+val find_result : t -> string -> Protocol.result option
+
+(** [add_result t key r] memoises the result of an ok reply. Error
+    replies are never stored. *)
+val add_result : t -> string -> Protocol.result -> unit
+
+(** [stats t] is [(store, hits, misses)] per store, in a fixed order:
+    [external], [grid], [library], [netlist], [placement], [result]. *)
 val stats : t -> (string * int * int) list

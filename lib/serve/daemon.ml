@@ -22,11 +22,16 @@ let serve ?max_in_flight ?default_solver ?telemetry cache ~next_line ~emit ()
     | None -> max 2 (2 * Exec.jobs ())
   in
   (* in-flight replies, oldest first; emission order = request order.
-     Each entry carries its submit timestamp, and the future yields
+     Each entry carries its submit timestamp and, for a pipelined job,
+     its prepared form (the result memo is filled at flush, on this
+     domain). The future yields
      (execution start, execution end, reply) so the flush side can
      split queue wait from execute time for the job log. *)
   let inflight :
-      (int64 * (int64 * int64 * Protocol.reply) Exec.Future.t) Queue.t =
+      (int64
+      * Engine.prepared option
+      * (int64 * int64 * Protocol.reply) Exec.Future.t)
+      Queue.t =
     Queue.create ()
   in
   let timed f () =
@@ -39,8 +44,9 @@ let serve ?max_in_flight ?default_solver ?telemetry cache ~next_line ~emit ()
     Obs.Gauge.set g_depth (float_of_int (Queue.length inflight))
   in
   let flush_one () =
-    let t_submit, fut = Queue.pop inflight in
+    let t_submit, prep, fut = Queue.pop inflight in
     let t_start, t_end, reply = Exec.Future.await fut in
+    Option.iter (fun p -> Engine.remember cache p reply) prep;
     set_depth ();
     (match reply with
     | Protocol.Ok _ -> incr ok
@@ -64,8 +70,8 @@ let serve ?max_in_flight ?default_solver ?telemetry cache ~next_line ~emit ()
   (* the submit stamp is taken by the caller *before* the future is
      created — a pool worker can start the job before the push lands,
      and queue_ns must never go negative *)
-  let push t_submit fut =
-    Queue.push (t_submit, fut) inflight;
+  let push ?prep t_submit fut =
+    Queue.push (t_submit, prep, fut) inflight;
     set_depth ();
     while Queue.length inflight > cap do
       flush_one ()
@@ -91,7 +97,11 @@ let serve ?max_in_flight ?default_solver ?telemetry cache ~next_line ~emit ()
           (Exec.Future.return (timed (fun () -> Engine.run cache job) ()))
       | Ok job ->
         let prep = Engine.prepare cache job in
-        push t_submit (Exec.submit (timed (fun () -> Engine.execute prep))));
+        let run = timed (fun () -> Engine.execute prep) in
+        (* a memo hit is already answered: no pool round trip *)
+        push ~prep t_submit
+          (if Engine.memoised prep then Exec.Future.return (run ())
+           else Exec.submit run));
       loop ()
   in
   loop ()

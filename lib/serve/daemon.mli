@@ -10,7 +10,9 @@
 
     - Each parsed job is resolved against the artifact cache on the
       calling thread ({!Engine.prepare}), then submitted to the pool.
-      Up to [max_in_flight] jobs run concurrently.
+      Up to [max_in_flight] jobs run concurrently. A job that hits the
+      cache's result memo is answered without the pool; ok results
+      enter the memo as they are emitted, on the calling thread.
     - Replies are emitted in {e request order}, never completion order
       — a client can match replies to requests positionally, and the
       emitted stream for a given request stream is reproducible.
@@ -22,7 +24,8 @@
 
     Observability (all no-ops unless [Obs.set_enabled]): counters
     [serve.jobs], [serve.errors] (plus [serve.cache_hits] /
-    [serve.cache_misses] from {!Cache}), gauge [serve.queue_depth]
+    [serve.cache_misses] and [serve.result_hits] /
+    [serve.result_misses] from {!Cache}), gauge [serve.queue_depth]
     (in-flight jobs), histogram [serve.job_latency_ms] (from
     {!Engine}). *)
 

@@ -1,12 +1,18 @@
 type artifacts = {
   master : Place.Placement.t;  (** shared, read-only: copy before use *)
+  master_key : string;  (** the master's placement or external store key *)
   skeleton : Route.Grid.skeleton;
   resolved : (string * bool) list;  (** per-store outcome, for the reply *)
 }
 
+(* The job's standing in the result memo: traced and unresolved jobs
+   bypass it; a miss carries the key its result is stored under. *)
+type memo = Bypass | Miss of string | Hit of Protocol.result
+
 type prepared = {
   job : Protocol.job;
   art : (artifacts, Protocol.error) result;
+  memo : memo;
   resolve_ns : int64;
 }
 
@@ -17,6 +23,20 @@ let read_whole_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let params_of (job : Protocol.job) (p : Place.Placement.t) =
+  let base = Vm1.Params.default p.Place.Placement.tech in
+  match job.alpha with
+  | Some alpha -> { base with Vm1.Params.alpha }
+  | None -> base
+
+let solver_of (job : Protocol.job) = Option.value job.solver ~default:`Greedy
+
+(* Everything the flow reads beyond the master placement. *)
+let result_key (job : Protocol.job) a =
+  Printf.sprintf "%s|a%.17g|s%d|%s" a.master_key
+    (params_of job a.master).Vm1.Params.alpha job.sequence
+    (Vm1.Scp_solver.mode_to_string (solver_of job))
 
 let prepare cache (job : Protocol.job) =
   let t0 = Obs.now_ns () in
@@ -40,6 +60,9 @@ let prepare cache (job : Protocol.job) =
         Ok
           {
             master;
+            master_key =
+              Cache.placement_key ~name:design ~arch:job.arch ~scale
+                ~utilization:util;
             skeleton;
             resolved =
               [
@@ -72,6 +95,7 @@ let prepare cache (job : Protocol.job) =
             Ok
               {
                 master;
+                master_key = Cache.external_key ~arch:job.arch ~def_text:text;
                 skeleton;
                 resolved =
                   [
@@ -90,7 +114,16 @@ let prepare cache (job : Protocol.job) =
           err_id = Some job.id;
         }
   in
-  { job; art; resolve_ns = Int64.sub (Obs.now_ns ()) t0 }
+  let memo =
+    match art with
+    | Ok a when not job.want_trace -> (
+      let key = result_key job a in
+      match Cache.find_result cache key with
+      | Some r -> Hit r
+      | None -> Miss key)
+    | Ok _ | Error _ -> Bypass
+  in
+  { job; art; memo; resolve_ns = Int64.sub (Obs.now_ns ()) t0 }
 
 (* Marshal-free placement fingerprint: coordinates and orientations in
    textual form, hashed. Covers exactly the job-mutable state, so equal
@@ -116,34 +149,26 @@ let placement_digest (p : Place.Placement.t) =
     p.Place.Placement.orients;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* One window memo-cache per worker domain. Like Cache, a Wcache is
-   domain-confined mutable state; jobs execute on pool workers, so each
-   worker warms and probes only its own instance. Warm entries carry
-   across jobs: a repeated job replays its converged windows. Byte
-   identity is unaffected (hit ≡ miss), so replies stay identical
-   whichever worker — warm or cold — picks a job up. *)
-let wcache_slot = Exec.Dls.create (fun () -> Vm1.Wcache.create ())
-
 let run_flow (job : Protocol.job) (a : artifacts) =
   let q = Place.Placement.copy a.master in
-  let params =
-    let base = Vm1.Params.default q.Place.Placement.tech in
-    match job.alpha with
-    | Some alpha -> { base with Vm1.Params.alpha }
-    | None -> base
-  in
+  let params = params_of job q in
   let router_config =
     { Route.Router.default_config with grid_skeleton = Some a.skeleton }
   in
   let config =
     { Vm1.Vm1_opt.default_config with
       Vm1.Vm1_opt.sequence = Vm1.Params.sequence job.sequence;
-      mode = (match job.solver with Some m -> m | None -> `Greedy);
-      parallel = false;
-      wcache = Vm1.Vm1_opt.Shared_wcache (Exec.Dls.get wcache_slot) }
+      mode = solver_of job;
+      parallel = false }
   in
-  let init, clock_ps = Report.Flow.evaluate ~router_config params q in
+  (* The initial evaluation reads its own copy of the master, so it runs
+     on the pool while the optimiser works on [q]. *)
+  let init =
+    let q0 = Place.Placement.copy a.master in
+    Exec.submit (fun () -> Report.Flow.evaluate ~router_config params q0)
+  in
   let (_ : Vm1.Vm1_opt.report) = Vm1.Vm1_opt.run ~config params q in
+  let init, clock_ps = Exec.Future.await init in
   let final, _ = Report.Flow.evaluate ~clock_ps ~router_config params q in
   let r_scale, r_util =
     match job.source with
@@ -191,16 +216,18 @@ let with_job_trace f =
 
 let h_latency = Obs.histogram "serve.job_latency_ms"
 
-let execute { job; art; resolve_ns } =
+let execute { job; art; memo; resolve_ns } =
   match art with
   | Error e -> Protocol.Err e
   | Ok a -> (
     let t0 = Obs.now_ns () in
     match
-      if job.want_trace then
+      match memo with
+      | Hit result -> (result, None)
+      | Miss _ | Bypass when job.want_trace ->
         let result, trace = with_job_trace (fun () -> run_flow job a) in
         (result, Some trace)
-      else (run_flow job a, None)
+      | Miss _ | Bypass -> (run_flow job a, None)
     with
     | result, trace ->
       let latency_ms =
@@ -218,4 +245,15 @@ let execute { job; art; resolve_ns } =
           err_id = Some job.id;
         })
 
-let run cache job = execute (prepare cache job)
+let memoised p = match p.memo with Hit _ -> true | Miss _ | Bypass -> false
+
+let remember cache p reply =
+  match (p.memo, reply) with
+  | Miss key, Protocol.Ok { result; _ } -> Cache.add_result cache key result
+  | (Miss _ | Hit _ | Bypass), (Protocol.Ok _ | Protocol.Err _) -> ()
+
+let run cache job =
+  let p = prepare cache job in
+  let reply = execute p in
+  remember cache p reply;
+  reply

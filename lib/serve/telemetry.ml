@@ -230,8 +230,8 @@ let health_json t =
   let stat = Gc.quick_stat () in
   let cache_hits = counter_value "serve.cache_hits"
   and cache_misses = counter_value "serve.cache_misses"
-  and wcache_hits = counter_value "distopt.wcache_hits"
-  and wcache_misses = counter_value "distopt.wcache_misses" in
+  and result_hits = counter_value "serve.result_hits"
+  and result_misses = counter_value "serve.result_misses" in
   J.Obj
     [
       ("schema", J.Str Obs.Schemas.health);
@@ -243,7 +243,7 @@ let health_json t =
         J.Float (Obs.Gauge.value (Obs.gauge "serve.queue_depth")) );
       ("pool_jobs", J.Int (Exec.jobs ()));
       ("artifact_cache", rate_json cache_hits cache_misses);
-      ("wcache", rate_json wcache_hits wcache_misses);
+      ("result_memo", rate_json result_hits result_misses);
       ( "gc",
         J.Obj
           [

@@ -10,7 +10,6 @@ type config = {
   mode : Scp_solver.mode;
   parallel : bool;
   candidate_cost : (site:int -> row:int -> float) option;
-  wcache : Wcache.t option;
 }
 
 type stats = {
@@ -85,68 +84,27 @@ let with_window_span (w : Window.t) problem f =
 let solve_window (w : Window.t) problem ~mode =
   with_window_span w problem (fun () -> Scp_solver.solve ~mode problem)
 
-(* A cache hit replays the memoised assignment instead of solving.
-   Candidate indices are translation-invariant, so the replay lands each
-   cell exactly where a fresh solve of this (canonically equal) problem
-   would; the cached stats are the fresh solve's stats verbatim. The
-   window span is emitted either way so traces keep full coverage. *)
-let replay_window (w : Window.t) problem (entry : Wcache.entry) =
-  with_window_span w problem (fun () ->
-      Wproblem.set_assignment problem entry.Wcache.assignment;
-      entry.Wcache.stats)
-
-let solve_batch ~parallel ~mode ~wcache (batch : Window.t array) problems =
+let solve_batch ~parallel ~mode (batch : Window.t array) problems =
   let n = Array.length problems in
-  let stats = Array.make n None in
-  let record i (s : Scp_solver.stats) =
+  let moves = Array.make n 0 in
+  let solve i =
+    let s = solve_window batch.(i) problems.(i) ~mode in
     Obs.Counter.incr c_windows_solved;
     Obs.Counter.add c_moves s.Scp_solver.moves;
     Obs.Histogram.observe h_window_moves (float_of_int s.Scp_solver.moves);
-    stats.(i) <- Some s
+    moves.(i) <- s.Scp_solver.moves
   in
-  let solve i = record i (solve_window batch.(i) problems.(i) ~mode) in
   (* Window solves fan out over the persistent Exec pool: the worker
      domains are spawned once per process, not once per batch, so the
      only Domain.spawn cost is warm-up (the exec.domain_spawns counter
      stays flat across batches). Per-index writes keep the result
      identical to the sequential order for every pool size. *)
-  let solve_all ~parallel n solve =
-    if (not parallel) || n <= 1 then
-      for i = 0 to n - 1 do
-        solve i
-      done
-    else Exec.parallel_for n solve
-  in
-  (match wcache with
-  | None -> solve_all ~parallel n solve
-  | Some cache ->
-    (* The cache is domain-confined: keys, probes, replays and inserts
-       all run on the coordinating domain; only the misses fan out. *)
-    let keys = Array.map (Wcache.key ~mode) problems in
-    let cached = Array.map (Wcache.find cache) keys in
-    let miss_rev = ref [] in
+  if (not parallel) || n <= 1 then
     for i = 0 to n - 1 do
-      match cached.(i) with
-      | Some entry -> record i (replay_window batch.(i) problems.(i) entry)
-      | None -> miss_rev := i :: !miss_rev
-    done;
-    let misses = Array.of_list (List.rev !miss_rev) in
-    solve_all ~parallel (Array.length misses) (fun j -> solve misses.(j));
-    Array.iter
-      (fun i ->
-        match stats.(i) with
-        | Some s ->
-          Wcache.add cache keys.(i)
-            {
-              Wcache.assignment = Wproblem.assignment problems.(i);
-              stats = s;
-            }
-        | None -> ())
-      misses);
-  Array.fold_left
-    (fun acc s ->
-      match s with Some s -> acc + s.Scp_solver.moves | None -> acc)
-    0 stats
+      solve i
+    done
+  else Exec.parallel_for n solve;
+  Array.fold_left ( + ) 0 moves
 
 let run (p : Place.Placement.t) (params : Params.t) (c : config) =
   Obs.with_span "distopt.run" (fun () ->
@@ -179,8 +137,8 @@ let run (p : Place.Placement.t) (params : Params.t) (c : config) =
               let moves =
                 Obs.with_span "distopt.solve" (fun () ->
                     let m =
-                      solve_batch ~parallel:c.parallel ~mode:c.mode
-                        ~wcache:c.wcache batch problems
+                      solve_batch ~parallel:c.parallel ~mode:c.mode batch
+                        problems
                     in
                     Obs.add_attr "moves" (`Int m);
                     m)

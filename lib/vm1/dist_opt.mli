@@ -24,13 +24,6 @@ type config = {
                            self-contained after extraction *)
   candidate_cost : (site:int -> row:int -> float) option;
   (** static per-candidate penalty (congestion-aware extension) *)
-  wcache : Wcache.t option;
-  (** memo-cache of solved windows, probed before every window solve
-      (see {!Wcache}). Hits replay the cached assignment; misses solve
-      and populate. The cache is touched only from the calling domain —
-      probes/replays/inserts never run on pool workers — so any
-      domain-confined instance is safe, and results are byte-identical
-      with the cache on or off (the hit ≡ miss invariant). *)
 }
 
 type stats = {

@@ -1,15 +1,9 @@
-type wcache_policy =
-  | No_wcache
-  | Fresh_wcache
-  | Shared_wcache of Wcache.t
-
 type config = {
   sequence : Params.step list;
   mode : Scp_solver.mode;
   max_inner_iters : int;
   parallel : bool;
   candidate_cost : (site:int -> row:int -> float) option;
-  wcache : wcache_policy;
 }
 
 let default_config =
@@ -19,7 +13,6 @@ let default_config =
     max_inner_iters = 6;
     parallel = false;
     candidate_cost = None;
-    wcache = Fresh_wcache;
   }
 
 type iteration = {
@@ -40,15 +33,6 @@ let run ?(config = default_config) (params : Params.t)
     (p : Place.Placement.t) =
   Obs.with_span "vm1opt.run" (fun () ->
   let t_start = Obs.now_ns () in
-  (* resolved once so every DistOpt pass of the whole run shares one
-     cache: the grid shifts by half a window per iteration, so converged
-     windows recur with identical content and replay instead of re-solve *)
-  let wcache =
-    match config.wcache with
-    | No_wcache -> None
-    | Fresh_wcache -> Some (Wcache.create ())
-    | Shared_wcache c -> Some c
-  in
   let tech = p.tech in
   let sw = tech.Pdk.Tech.site_width and rh = tech.Pdk.Tech.row_height in
   let initial_objective = Objective.value params p in
@@ -86,7 +70,6 @@ let run ?(config = default_config) (params : Params.t)
               mode = config.mode;
               parallel = config.parallel;
               candidate_cost = config.candidate_cost;
-              wcache;
             }
         in
         (* flipping pass: orientation only *)
@@ -104,7 +87,6 @@ let run ?(config = default_config) (params : Params.t)
               mode = config.mode;
               parallel = config.parallel;
               candidate_cost = config.candidate_cost;
-              wcache;
             }
         in
         (* shift the window grid to free boundary cells next iteration *)

@@ -6,18 +6,6 @@
     only, then shift the window grid so cells stuck at the previous
     iteration's window boundaries become optimisable. *)
 
-(** Where the window memo-cache (see {!Wcache}) for a run comes from.
-    [Fresh_wcache] (the default) creates a private cache per [run] —
-    outer iterations re-encounter converged windows and replay them.
-    [Shared_wcache] reuses a caller-owned cache across runs (the daemon
-    keeps one per worker domain, warming across jobs); the caller owns
-    domain confinement. [No_wcache] disables memoisation. Results are
-    byte-identical under every policy (the hit ≡ miss invariant). *)
-type wcache_policy =
-  | No_wcache
-  | Fresh_wcache
-  | Shared_wcache of Wcache.t
-
 type config = {
   sequence : Params.step list;
   mode : Scp_solver.mode;
@@ -25,7 +13,6 @@ type config = {
   parallel : bool;        (** distribute window batches over domains *)
   candidate_cost : (site:int -> row:int -> float) option;
   (** static per-candidate penalty (the congestion-aware extension) *)
-  wcache : wcache_policy;
 }
 
 val default_config : config

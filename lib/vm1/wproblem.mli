@@ -152,10 +152,7 @@ val footprint_free_at : t -> cell:int -> cand:int -> bool
 val set_cur : t -> cell:int -> cand:int -> unit
 
 (** [assignment t] is the current candidate index of every cell — the
-    window's solution vector. Candidate indices are translation-
-    invariant (candidate generation order depends only on window-local
-    geometry), which is what lets the memo-cache replay an assignment
-    into any canonically-equal problem. *)
+    window's solution vector. *)
 val assignment : t -> int array
 
 (** [set_assignment t a] moves every cell to candidate [a.(i)] through

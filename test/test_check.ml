@@ -98,18 +98,16 @@ let test_dangling_pin_rejected () =
   check_bool "Design.validate rejects dangling pin" true
     (Netlist.Design.validate bad <> [])
 
-(* --- the sanitizer stays clean after a portfolio + window-cache flow:
-   the racing solver and the memo-cache replay path both feed the same
-   oracles (placement legality, window independence, objective recount,
-   shard monitor, MILP re-verification) as the plain greedy flow --- *)
+(* --- the sanitizer stays clean after a portfolio flow: the racing
+   solver feeds the same oracles (placement legality, window
+   independence, objective recount, shard monitor, MILP re-verification)
+   as the plain greedy flow --- *)
 
-let test_portfolio_cache_flow_clean () =
+let test_portfolio_flow_clean () =
   let p = Place.Placement.copy (closedm1 ()) in
   let params = params_of p in
   let config =
-    { Vm1.Vm1_opt.default_config with
-      Vm1.Vm1_opt.mode = `Portfolio;
-      wcache = Vm1.Vm1_opt.Fresh_wcache }
+    { Vm1.Vm1_opt.default_config with Vm1.Vm1_opt.mode = `Portfolio }
   in
   ignore (Vm1.Vm1_opt.run ~config params p);
   let findings = Check.flow params p in
@@ -117,7 +115,7 @@ let test_portfolio_cache_flow_clean () =
   List.iter
     (fun (f : Check.finding) ->
       check_bool
-        (Printf.sprintf "%s oracle clean after portfolio+cache" f.oracle)
+        (Printf.sprintf "%s oracle clean after portfolio" f.oracle)
         true (f.problems = []))
     findings
 
@@ -232,8 +230,8 @@ let () =
       ( "flow",
         flow_cases
         @ [
-            Alcotest.test_case "portfolio+cache clean" `Quick
-              test_portfolio_cache_flow_clean;
+            Alcotest.test_case "portfolio clean" `Quick
+              test_portfolio_flow_clean;
           ] );
       ( "negative-def",
         [

@@ -94,7 +94,6 @@ let distopt_cfg parallel =
     mode = `Greedy;
     parallel;
     candidate_cost = None;
-    wcache = None;
   }
 
 let test_distopt_identity () =

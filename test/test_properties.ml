@@ -317,7 +317,6 @@ let prop_instrumented_run_identical =
           mode = `Greedy;
           parallel;
           candidate_cost = None;
-          wcache = None;
         }
       in
       Obs.set_enabled false;
@@ -332,65 +331,6 @@ let prop_instrumented_run_identical =
       && p.Place.Placement.xs = q.Place.Placement.xs
       && p.Place.Placement.ys = q.Place.Placement.ys
       && p.Place.Placement.orients = q.Place.Placement.orients)
-
-(* the window cache's canonical form is translation-invariant: a window
-   and its (dx, dy)-shifted copy produce the same key, and replaying the
-   original's memoised assignment into the shifted window lands every
-   cell exactly where a fresh solve of the shifted window would *)
-let prop_wcache_translation_invariant =
-  QCheck2.Test.make ~name:"window cache key translation-invariant" ~count:10
-    QCheck2.Gen.(triple (int_range 1 1000) (int_range 0 4) (int_range 0 2))
-    (fun (seed, dxr, dyr) ->
-      let p = Place.Placement.create (design_of_seed seed) ~utilization:0.70 in
-      Place.Global.place p;
-      let params = Vm1.Params.default p.Place.Placement.tech in
-      let ws = Vm1.Window.partition p ~tx:0 ~ty:0 ~bw:14 ~bh:2 in
-      match
-        Array.to_list ws
-        |> List.find_opt (fun (w : Vm1.Window.t) -> w.movable <> [])
-      with
-      | None -> true
-      | Some w ->
-        let tech = p.Place.Placement.tech in
-        let sw = tech.Pdk.Tech.site_width
-        and rh = tech.Pdk.Tech.row_height in
-        (* clamp the shift so the moved window stays inside the die:
-           die-boundary clipping of the candidate lattice is part of the
-           canonical form, so a window pushed into the edge is a
-           different problem, not a translated copy *)
-        let max_dx = p.Place.Placement.sites_per_row - (w.site_lo + w.bw) in
-        let max_dy = p.Place.Placement.num_rows - (w.row_lo + w.bh) in
-        let dx = min dxr (max 0 max_dx) and dy = min dyr (max 0 max_dy) in
-        let extract_at pl ~site_lo ~row_lo =
-          Vm1.Wproblem.extract pl params ~site_lo ~row_lo ~bw:w.bw ~bh:w.bh
-            ~movable:w.movable ~lx:2 ~ly:1 ~allow_flip:true ~allow_move:true
-        in
-        let t1 = extract_at p ~site_lo:w.site_lo ~row_lo:w.row_lo in
-        let q = Place.Placement.copy p in
-        Array.iteri
-          (fun i x -> q.Place.Placement.xs.(i) <- x + (dx * sw))
-          p.Place.Placement.xs;
-        Array.iteri
-          (fun i y -> q.Place.Placement.ys.(i) <- y + (dy * rh))
-          p.Place.Placement.ys;
-        let site_lo = w.site_lo + dx and row_lo = w.row_lo + dy in
-        let t2 = extract_at q ~site_lo ~row_lo in
-        let key1 = Vm1.Wcache.key ~mode:`Greedy t1 in
-        let key2 = Vm1.Wcache.key ~mode:`Greedy t2 in
-        let t2_fresh = extract_at q ~site_lo ~row_lo in
-        let s_fresh = Vm1.Scp_solver.solve ~mode:`Greedy t2_fresh in
-        let cache = Vm1.Wcache.create () in
-        let s1 = Vm1.Scp_solver.solve ~mode:`Greedy t1 in
-        Vm1.Wcache.add cache key1
-          { Vm1.Wcache.assignment = Vm1.Wproblem.assignment t1; stats = s1 };
-        (match Vm1.Wcache.find cache key2 with
-        | None -> false
-        | Some entry ->
-          Vm1.Wproblem.set_assignment t2 entry.Vm1.Wcache.assignment;
-          String.equal key1 key2
-          && Vm1.Wproblem.assignment t2 = Vm1.Wproblem.assignment t2_fresh
-          && s1.Vm1.Scp_solver.objective_after
-             = s_fresh.Vm1.Scp_solver.objective_after))
 
 (* STA: lengthening any single net never shortens the critical path *)
 let prop_sta_monotone =
@@ -430,7 +370,6 @@ let () =
             prop_move_delta_exact; prop_greedy_monotone_legal;
             prop_milp_equals_exhaustive; prop_diagonal_batches;
             prop_instrumented_run_identical;
-            prop_wcache_translation_invariant;
           ] );
       ( "sta",
         List.map QCheck_alcotest.to_alcotest [ prop_sta_monotone ] );

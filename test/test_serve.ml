@@ -154,10 +154,25 @@ let artifacts = function
   | Serve.Protocol.Ok o -> o.artifacts
   | Serve.Protocol.Err e -> Alcotest.fail e.Serve.Protocol.message
 
+(* The cold job runs without [Engine.remember], so the warm job misses
+   the result memo and runs the flow again on artifact hits: a job that
+   mutated a cached master would change the warm bytes. *)
+let cold_then_warm cache j =
+  let cold = Serve.Engine.execute (Serve.Engine.prepare cache j) in
+  let warm = Serve.Engine.run cache j in
+  (match
+     List.find_opt (fun (name, _, _) -> String.equal name "result")
+       (Serve.Cache.stats cache)
+   with
+   | Some (_, hits, misses) ->
+     check "result memo hits" 0 hits;
+     check "result memo misses" 2 misses
+   | None -> Alcotest.fail "no result store in Cache.stats");
+  (cold, warm)
+
 let test_cold_warm_identical () =
   let cache = Serve.Cache.create () in
-  let cold = Serve.Engine.run cache (job "c") in
-  let warm = Serve.Engine.run cache (job "c") in
+  let cold, warm = cold_then_warm cache (job "c") in
   checkb "cold run misses" true (List.for_all (fun (_, h) -> not h) (artifacts cold));
   checkb "warm run hits" true (List.for_all snd (artifacts warm));
   checks "byte-identical results" (result_bytes cold) (result_bytes warm);
@@ -168,6 +183,7 @@ let test_cold_warm_identical () =
 let test_cache_stats_count () =
   let cache = Serve.Cache.create () in
   ignore (Serve.Engine.run cache (job "a"));
+  (* same job under another id: every store hits, the result memo too *)
   ignore (Serve.Engine.run cache (job "b"));
   List.iter
     (fun (name, hits, misses) ->
@@ -221,16 +237,11 @@ let test_external_inline_job () =
 let test_external_job_cache_hit () =
   let text = external_def_text () in
   let cache = Serve.Cache.create () in
-  let cold, cold_arts =
-    run_ok
-      (Serve.Engine.run cache
-         (external_job ~id:"c1" (Serve.Protocol.Inline text)))
+  let cold, warm =
+    cold_then_warm cache (external_job ~id:"c" (Serve.Protocol.Inline text))
   in
-  let warm, warm_arts =
-    run_ok
-      (Serve.Engine.run cache
-         (external_job ~id:"c2" (Serve.Protocol.Inline text)))
-  in
+  let cold, cold_arts = run_ok cold in
+  let warm, warm_arts = run_ok warm in
   checkb "cold run misses" true (List.for_all (fun (_, h) -> not h) cold_arts);
   checkb "warm run hits" true (List.for_all snd warm_arts);
   checks "byte-identical results"
@@ -300,17 +311,20 @@ let test_skeleton_mismatch_rejected () =
 
 (* --- daemon loop --- *)
 
-let serve_lines ?telemetry ?(on_reply = fun () -> ()) lines =
+let serve_lines ?telemetry ?max_in_flight ?(cache = Serve.Cache.create ())
+    ?(on_pull = fun (_ : int) -> ()) ?(on_reply = fun () -> ()) lines =
   let remaining = ref lines in
+  let pulled = ref 0 in
   let replies = ref [] in
   let stats =
-    Serve.Daemon.serve ?telemetry
-      (Serve.Cache.create ())
+    Serve.Daemon.serve ?telemetry ?max_in_flight cache
       ~next_line:(fun () ->
         match !remaining with
         | [] -> None
         | l :: rest ->
           remaining := rest;
+          on_pull !pulled;
+          incr pulled;
           Some l)
       ~emit:(fun line ->
         replies := line :: !replies;
@@ -457,6 +471,116 @@ let test_jobs_ring_and_joblog_fields () =
     | _ -> Alcotest.fail "jobs reply without records")
   | _ -> Alcotest.fail "jobs reply not an object"
 
+(* --- result memo ---
+
+   Each stream is original -> other -> repeat under max_in_flight 1:
+   pulling "other" flushes the original, so its result is memoised
+   before the repeat is prepared. "other" differs from the original
+   only in alpha, so it shares every artifact but not the memo key. *)
+
+let other =
+  Serve.Protocol.generated_job ~id:"other" ~scale:64 ~alpha:600.
+    Netlist.Designs.M0
+
+let result_stats cache =
+  match
+    List.find_opt (fun (n, _, _) -> String.equal n "result")
+      (Serve.Cache.stats cache)
+  with
+  | Some (_, hits, misses) -> (hits, misses)
+  | None -> Alcotest.fail "no result row in Cache.stats"
+
+let memo_stream ?on_pull ~cache original repeat =
+  let _, replies =
+    serve_lines ~max_in_flight:1 ~cache ?on_pull
+      (List.map Serve.Protocol.encode_job [ original; other; repeat ])
+  in
+  match result_members replies with
+  | [ a; _; c ] -> (a, c, replies)
+  | _ -> Alcotest.fail "expected three replies"
+
+let test_memo_hit_identical () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  let cache = Serve.Cache.create () in
+  let original, repeat, _ =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled false)
+      (fun () -> memo_stream ~cache (job "o") (job "r"))
+  in
+  let counter name = Obs.Counter.value (Obs.counter name) in
+  let hits = counter "serve.result_hits"
+  and misses = counter "serve.result_misses" in
+  Obs.reset ();
+  checks "repeat result byte-identical" original repeat;
+  checkb "repeat hit the memo" true (result_stats cache = (1, 2));
+  check "serve.result_hits" 1 hits;
+  check "serve.result_misses" 2 misses
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let test_memo_def_path_rekeyed () =
+  let path = Filename.temp_file "vm1dp_memo" ".def" in
+  let text = external_def_text () in
+  let renamed =
+    Str.global_replace (Str.regexp_string "DESIGN m0") "DESIGN m0b" text
+  in
+  write_file path text;
+  let cache = Serve.Cache.create () in
+  let pj id = external_job ~id (Serve.Protocol.Path path) in
+  (* the file changes between the two submissions of the same path *)
+  let on_pull i = if i = 2 then write_file path renamed in
+  let first, second, replies =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () -> memo_stream ~on_pull ~cache (pj "p1") (pj "p2"))
+  in
+  checkb "changed file, different result" true (first <> second);
+  checkb "changed file missed the memo" true (result_stats cache = (0, 3));
+  match Serve.Protocol.parse_reply (List.nth replies 2) with
+  | Ok { Serve.Protocol.p_result = Some r; _ } ->
+    checkb "fresh result from the new bytes" true
+      (Obs.Json.member "design" r = Some (Obs.Json.Str "m0b"))
+  | _ -> Alcotest.fail "expected an ok reply"
+
+let test_memo_bypassed_by_trace () =
+  let cache = Serve.Cache.create () in
+  let traced = { (job "t") with Serve.Protocol.want_trace = true } in
+  let original, repeat, replies = memo_stream ~cache (job "o") traced in
+  checks "traced result byte-identical" original repeat;
+  checkb "traced job never probed the memo" true (result_stats cache = (0, 2));
+  checkb "traced reply carries its trace" true
+    (match Obs.Json.parse (List.nth replies 2) with
+    | Ok json -> Obs.Json.member "trace" json <> None
+    | Error _ -> false)
+
+let test_memo_skips_errors () =
+  (* a dangling def_path fails; once the file exists the same request
+     must run, not replay the error *)
+  let path = Filename.temp_file "vm1dp_memo" ".def" in
+  Sys.remove path;
+  let cache = Serve.Cache.create () in
+  let pj id = external_job ~id (Serve.Protocol.Path path) in
+  let on_pull i = if i = 2 then write_file path (external_def_text ()) in
+  let failed, ran, _ =
+    Fun.protect
+      ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+      (fun () -> memo_stream ~on_pull ~cache (pj "p1") (pj "p2"))
+  in
+  checks "first is an error" "err:bad_request" failed;
+  checkb "resubmission ran" true (not (String.starts_with ~prefix:"err:" ran));
+  (* an error reply offered to the memo directly is dropped too *)
+  let p = Serve.Engine.prepare cache (job "e") in
+  Serve.Engine.remember cache p
+    (Serve.Protocol.Err
+       { Serve.Protocol.code = Serve.Protocol.Internal; message = "boom";
+         err_id = Some "e" });
+  checkb "error not memoised" false
+    (Serve.Engine.memoised (Serve.Engine.prepare cache (job "e")))
+
 let () =
   Alcotest.run "serve"
     [
@@ -499,6 +623,15 @@ let () =
           Alcotest.test_case "reply order" `Quick
             test_daemon_order_under_concurrency;
           Alcotest.test_case "traced job" `Quick test_traced_job_carries_trace;
+        ] );
+      ( "result memo",
+        [
+          Alcotest.test_case "repeat hits" `Quick test_memo_hit_identical;
+          Alcotest.test_case "def_path bytes rekey" `Quick
+            test_memo_def_path_rekeyed;
+          Alcotest.test_case "trace bypasses" `Quick
+            test_memo_bypassed_by_trace;
+          Alcotest.test_case "errors not stored" `Quick test_memo_skips_errors;
         ] );
       ( "telemetry",
         [

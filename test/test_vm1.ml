@@ -427,95 +427,6 @@ let test_portfolio_deterministic () =
   Alcotest.(check (array int)) "same ys" p1.Place.Placement.ys
     p2.Place.Placement.ys
 
-(* --- Wcache --- *)
-
-let dummy_stats =
-  {
-    Vm1.Scp_solver.objective_before = 0.;
-    objective_after = 0.;
-    moves = 0;
-    passes = 1;
-  }
-
-let test_wcache_lru_eviction () =
-  let c = Vm1.Wcache.create ~capacity:2 () in
-  let entry = { Vm1.Wcache.assignment = [| 0 |]; stats = dummy_stats } in
-  Vm1.Wcache.add c "a" entry;
-  Vm1.Wcache.add c "b" entry;
-  (* touch "a" so "b" is the LRU victim when "c" lands *)
-  checkb "a hit" true (Vm1.Wcache.find c "a" <> None);
-  Vm1.Wcache.add c "c" entry;
-  check "capacity bound" 2 (Vm1.Wcache.length c);
-  checkb "b evicted" true (Vm1.Wcache.find c "b" = None);
-  checkb "a kept" true (Vm1.Wcache.find c "a" <> None);
-  checkb "c kept" true (Vm1.Wcache.find c "c" <> None);
-  let hits, misses = Vm1.Wcache.stats c in
-  check "hits" 3 hits;
-  check "misses" 1 misses
-
-let test_wcache_hit_is_miss () =
-  (* replaying a memoised assignment into a canonically-equal window
-     lands every cell exactly where a fresh solve would *)
-  let p1 = placed ~n:150 closed_lib in
-  let p2 = placed ~n:150 closed_lib in
-  let t1 = whole_die_problem p1 closed_params in
-  let t2 = whole_die_problem p2 closed_params in
-  let k1 = Vm1.Wcache.key ~mode:`Greedy t1 in
-  let k2 = Vm1.Wcache.key ~mode:`Greedy t2 in
-  Alcotest.(check string) "equal keys" k1 k2;
-  let c = Vm1.Wcache.create () in
-  let s1 = Vm1.Scp_solver.solve ~mode:`Greedy t1 in
-  Vm1.Wcache.add c k1
-    { Vm1.Wcache.assignment = Vm1.Wproblem.assignment t1; stats = s1 };
-  (match Vm1.Wcache.find c k2 with
-  | None -> Alcotest.fail "expected a cache hit"
-  | Some e -> Vm1.Wproblem.set_assignment t2 e.Vm1.Wcache.assignment);
-  Vm1.Wproblem.commit t1;
-  Vm1.Wproblem.commit t2;
-  Alcotest.(check (array int)) "same xs" p1.Place.Placement.xs
-    p2.Place.Placement.xs;
-  Alcotest.(check (array int)) "same ys" p1.Place.Placement.ys
-    p2.Place.Placement.ys
-
-let test_dist_opt_cache_transparent () =
-  (* a Dist_opt run with a window cache attached is byte-identical to one
-     without, and a warm rerun both hits the cache and reproduces the
-     cold run's placement *)
-  let cfg wcache =
-    {
-      Vm1.Dist_opt.tx = 0;
-      ty = 0;
-      bw = 40;
-      bh = 6;
-      lx = 3;
-      ly = 1;
-      allow_flip = false;
-      allow_move = true;
-      mode = `Greedy;
-      parallel = false;
-      candidate_cost = None;
-      wcache;
-    }
-  in
-  let bare = placed ~n:400 closed_lib in
-  ignore (Vm1.Dist_opt.run bare closed_params (cfg None));
-  let cache = Vm1.Wcache.create () in
-  let cold = placed ~n:400 closed_lib in
-  ignore (Vm1.Dist_opt.run cold closed_params (cfg (Some cache)));
-  Alcotest.(check (array int)) "cache on = cache off (xs)"
-    bare.Place.Placement.xs cold.Place.Placement.xs;
-  Alcotest.(check (array int)) "cache on = cache off (ys)"
-    bare.Place.Placement.ys cold.Place.Placement.ys;
-  checkb "cold pass populated the cache" true (Vm1.Wcache.length cache > 0);
-  let warm = placed ~n:400 closed_lib in
-  ignore (Vm1.Dist_opt.run warm closed_params (cfg (Some cache)));
-  let hits, _ = Vm1.Wcache.stats cache in
-  checkb "warm pass hit the cache" true (hits > 0);
-  Alcotest.(check (array int)) "warm replay = cold solve (xs)"
-    cold.Place.Placement.xs warm.Place.Placement.xs;
-  Alcotest.(check (array int)) "warm replay = cold solve (ys)"
-    cold.Place.Placement.ys warm.Place.Placement.ys
-
 (* --- Dist_opt / Vm1_opt --- *)
 
 let test_dist_opt_legal_and_improves () =
@@ -535,7 +446,6 @@ let test_dist_opt_legal_and_improves () =
         mode = `Greedy;
         parallel = false;
         candidate_cost = None;
-        wcache = None;
       }
   in
   let after = Vm1.Objective.value closed_params p in
@@ -586,7 +496,6 @@ let test_parallel_matches_sequential () =
         mode = `Greedy;
         parallel;
         candidate_cost = None;
-        wcache = None;
       }
     in
     ignore (Vm1.Dist_opt.run p closed_params cfg);
@@ -668,10 +577,6 @@ let () =
       ( "flow",
         [
           Alcotest.test_case "dist_opt" `Quick test_dist_opt_legal_and_improves;
-          Alcotest.test_case "wcache lru" `Quick test_wcache_lru_eviction;
-          Alcotest.test_case "wcache hit = miss" `Quick test_wcache_hit_is_miss;
-          Alcotest.test_case "wcache transparent" `Quick
-            test_dist_opt_cache_transparent;
           Alcotest.test_case "vm1_opt" `Quick test_vm1_opt_improves_and_legal;
           Alcotest.test_case "deterministic" `Quick test_vm1_opt_deterministic;
           Alcotest.test_case "alpha=0 pure hpwl" `Quick test_vm1_opt_alpha_zero_pure_hpwl;
