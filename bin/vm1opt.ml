@@ -72,13 +72,10 @@ let svg_prefix =
   Arg.(value & opt (some string) None & info [ "svg" ]
          ~doc:"Write PREFIX.{placement,routed,congestion}.svg of the final                layout.")
 
-let parallel =
-  Arg.(value & flag & info [ "parallel"; "j" ]
-         ~doc:"Solve diagonally-independent windows on multiple domains                (the paper's distributable optimisation); results are                identical to the sequential run.")
-
 let jobs =
   Arg.(value & opt int 0 & info [ "jobs" ]
-         ~doc:"Size of the shared domain pool used by --parallel and the                sharded routing pass (caller + workers). 0 picks the                recommended domain count. Results are byte-identical for                every value." ~docv:"N")
+         ~doc:"Size of the shared domain pool (caller + workers). With more                than one, DistOpt solves diagonally-independent windows on                several domains (the paper's distributable optimisation);                routing is always sequential. 0 picks the recommended                domain count. Results are byte-identical for every value."
+         ~docv:"N")
 
 let trace =
   Arg.(value & opt (some string) None & info [ "trace" ]
@@ -90,10 +87,10 @@ let metrics =
 
 let check =
   Arg.(value & flag & info [ "check" ]
-         ~doc:"After optimising, run the flow sanitizer (lib/check): design                and placement legality, window diagonal-independence,                objective recount, a routing run with the shard-write                monitor armed, and MILP feasibility re-verification on a                sample window. Non-zero exit on any violation.")
+         ~doc:"After optimising, run the flow sanitizer (lib/check): design                and placement legality, window diagonal-independence,                objective recount, a routing-result recheck, and MILP                feasibility re-verification on a sample window. Non-zero                exit on any violation.")
 
 let run design arch scale utilization alpha sequence solver dump_prefix
-    svg_prefix parallel jobs trace metrics check =
+    svg_prefix jobs trace metrics check =
   if trace <> None || metrics then Obs.set_enabled true;
   if jobs > 0 then Exec.set_jobs jobs;
   let p = Report.Flow.prepare ~scale ~utilization design arch in
@@ -114,7 +111,7 @@ let run design arch scale utilization alpha sequence solver dump_prefix
     { Vm1.Vm1_opt.default_config with
       Vm1.Vm1_opt.sequence = Vm1.Params.sequence sequence;
       mode = solver;
-      parallel }
+      parallel = Exec.jobs () > 1 }
   in
   let report = Vm1.Vm1_opt.run ~config params p in
   let final, _ = Report.Flow.evaluate ~clock_ps params p in
@@ -162,7 +159,7 @@ let cmd =
   let doc = "vertical M1 routing-aware detailed placement, end to end" in
   Cmd.v (Cmd.info "vm1opt" ~doc)
     Term.(const run $ design $ arch $ scale $ utilization $ alpha $ sequence
-          $ solver $ dump_prefix $ svg_prefix $ parallel $ jobs $ trace
+          $ solver $ dump_prefix $ svg_prefix $ jobs $ trace
           $ metrics $ check)
 
 let () = exit (Cmd.eval cmd)

@@ -1,6 +1,6 @@
 (** Work-stealing domain-pool scheduler: the execution substrate under
     every parallel hot loop of the flow (DistOpt window batches, the
-    region-sharded routing pass, the benchmark harness).
+    experiment matrix, the daemon's job pool, the benchmark harness).
 
     Design constraints, in order:
 

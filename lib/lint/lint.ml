@@ -116,13 +116,6 @@ type vetted_site = {
 let vetted =
   [
     { v_rule = "domain-prims";
-      path_suffix = "lib/route/grid.ml";
-      ident_prefix = "Atomic.";
-      justification =
-        "the overflow-edge total is the one cell the region-sharded \
-         routing pass shares between domains; concurrent tiles commit \
-         to disjoint edges and nets but bump this one atomic counter" };
-    { v_rule = "domain-prims";
       path_suffix = "bench/main.ml";
       ident_prefix = "Domain.";
       justification =

@@ -8,7 +8,6 @@ type config = {
   m1_surcharge : int;
   layers : int;
   pdn_stripes : bool;
-  shard_tracks : int;
   grid_skeleton : Grid.skeleton option;
 }
 
@@ -23,29 +22,26 @@ let default_config =
     m1_surcharge = 6;
     layers = 6;
     pdn_stripes = true;
-    shard_tracks = 64;
     grid_skeleton = None;
   }
 
-(* Metric handles created once: the initial pass bumps these from
-   worker domains, where a per-call registry lookup would contend on
-   the registry lock. *)
+(* Metric handles created once, not looked up in the registry per bump. *)
 let c_subnets = Obs.counter "route.subnets"
 let c_subnet_attempts = Obs.counter "route.subnet_attempts"
 let c_ripup_nets = Obs.counter "route.ripup_nets"
 let c_ripup_candidates = Obs.counter "route.ripup_candidates"
 let c_failed_subnets = Obs.counter "route.failed_subnets"
-let c_shard_nets = Obs.counter "route.shard_nets"
-let c_deferred_nets = Obs.counter "route.deferred_nets"
 let c_bq_pushes = Obs.counter "route.bq_pushes"
 let g_overflow = Obs.gauge "route.overflow_edges"
 
 (* Allocation-pressure gauge over the whole route span, normalized per
    subnet — the runtime complement to the structural hot-alloc lint on
-   the A* loop. Coordinator-domain minor words only; the sharded pass's
-   worker allocations are not counted (the hot path they run is the
-   same code the coordinator's sequential phase measures). *)
+   the A* loop. *)
 let g_minor_words = Obs.gauge "route.minor_words_per_subnet"
+
+(* side, in tracks, of the congestion heat-map tiles [route] attaches
+   to its span for [vm1trace attribute] *)
+let heat_tile_tracks = 64
 
 type edge =
   | Wire of int
@@ -159,28 +155,20 @@ let via_cost ctx n =
 (* A*: multi-source (the net's current tree plus the source pin's access
    nodes) to the target pin's access nodes, within a window around the
    subnet bounding box. Targets were stamped with [tgen = tg] by the
-   caller. [clamp] (ilo, ihi, jlo, jhi) intersects every escalation
-   window with a fixed rectangle; the sharded initial pass uses it to
-   confine each tile's searches — reads and writes included — to that
-   tile, which is what makes concurrent tiles independent.
+   caller.
 
     Sources are seeded through the same generation stamp that relaxation
     uses, so the open list is seeded without duplicate nodes even when
     the tree and the source pin's access set overlap. *)
-let search ?clamp ctx ~net ~tg ~src ~bbox ~tbox =
+let search ctx ~net ~tg ~src ~bbox ~tbox =
   let g = ctx.g in
   let imin, imax, jmin, jmax = bbox in
   let ti_min, ti_max, tj_min, tj_max = tbox in
-  (* destructured once per search, not per escalation: [run] is
-     [@vm1.hot] and must not rebuild the clamp tuple on every margin *)
-  let ci0, ci1, cj0, cj1 =
-    match clamp with None -> (0, max_int, 0, max_int) | Some c -> c
-  in
   let[@vm1.hot] run margin =
-    let ilo = max (max 0 (imin - margin)) ci0
-    and ihi = min (min (g.Grid.nx - 1) (imax + margin)) ci1 in
-    let jlo = max (max 0 (jmin - margin)) cj0
-    and jhi = min (min (g.Grid.ny - 1) (jmax + margin)) cj1 in
+    let ilo = max 0 (imin - margin)
+    and ihi = min (g.Grid.nx - 1) (imax + margin) in
+    let jlo = max 0 (jmin - margin)
+    and jhi = min (g.Grid.ny - 1) (jmax + margin) in
     let nx = g.Grid.nx and ny = g.Grid.ny in
     let nxy = nx * ny in
     (* weighted A*: inflating the admissible Manhattan bound trades a
@@ -398,7 +386,7 @@ let decompose (p : Place.Placement.t) (net : Netlist.Design.net) =
    [ctx.tree]). Target stamping, the direct-connection test, and open
    list seeding all run on generation stamps — no list membership
    scans. *)
-let route_subnet ?clamp ctx ~net subnet =
+let route_subnet ctx ~net subnet =
   let g = ctx.g in
   (* stamp the target pin's access nodes with a fresh generation and
      collect the target bounding box *)
@@ -439,7 +427,7 @@ let route_subnet ?clamp ctx ~net subnet =
     Stampset.iter ctx.tree widen;
     Grid.pin_access_iter g subnet.src widen;
     match
-      search ?clamp ctx ~net ~tg ~src:subnet.src
+      search ctx ~net ~tg ~src:subnet.src
         ~bbox:(!imin, !imax, !jmin, !jmax)
         ~tbox:(!ti_min, !ti_max, !tj_min, !tj_max)
     with
@@ -484,9 +472,9 @@ let route ?(config = default_config) (p : Place.Placement.t) =
     Array.fold_left (fun acc nr -> acc + Array.length nr.subnets) 0 routes
   in
   Obs.Counter.add c_subnets total_subnets;
-  (* Sequential semantics: attempt every subnet even after a failure (the
-     rip-up passes may still fix the rest of the tree). *)
-  let route_net_full ctx (nr : net_route) =
+  (* Attempt every subnet even after a failure (the rip-up passes may
+     still fix the rest of the tree). *)
+  let route_net_full (nr : net_route) =
     Stampset.clear ctx.tree;
     Array.iter
       (fun sn ->
@@ -494,148 +482,7 @@ let route ?(config = default_config) (p : Place.Placement.t) =
         ignore (route_subnet ctx ~net:nr.net_id sn))
       nr.subnets
   in
-  (* Tile-confined attempt for the sharded pass: on the first subnet that
-     cannot be routed inside the tile, roll the whole net back and report
-     it deferred, so the sequential phase retries it with full window
-     escalation against the final phase-1 grid state. *)
-  let route_net_clamped ~clamp ctx (nr : net_route) =
-    Stampset.clear ctx.tree;
-    let ok = ref true in
-    Array.iter
-      (fun sn ->
-        if !ok then begin
-          Obs.Counter.incr c_subnet_attempts;
-          if not (route_subnet ~clamp ctx ~net:nr.net_id sn) then ok := false
-        end)
-      nr.subnets;
-    if not !ok then
-      Array.iter
-        (fun sn ->
-          if sn.routed then begin
-            uncommit g ~net:nr.net_id sn.path;
-            sn.path <- [||];
-            sn.routed <- false
-          end)
-        nr.subnets;
-    !ok
-  in
-  (* --- region-sharded initial pass ---------------------------------
-     The routing grid is cut into fixed [shard_tracks]-sized tiles (the
-     tiling depends only on the grid, never on [Exec.jobs], so results
-     are byte-identical across pool sizes). A net is tile-local when
-     every access node of every pin, padded by the first search margin,
-     lands in one tile; tile-local nets route concurrently with searches
-     clamped to their tile, so concurrent tasks touch disjoint usage
-     cells. Everything else — nets spanning tiles, plus any net that
-     failed inside its tile — is routed sequentially afterwards, in the
-     original short-nets-first order, with the ordinary unclamped
-     escalation. Rip-up stays fully sequential. *)
-  let t = max 8 config.shard_tracks in
-  let tiles_x = (g.Grid.nx + t - 1) / t in
-  let tiles_y = (g.Grid.ny + t - 1) / t in
-  let m = config.search_margin in
-  let tile_of (nr : net_route) =
-    let imin = ref max_int and imax = ref min_int in
-    let jmin = ref max_int and jmax = ref min_int in
-    Array.iter
-      (fun pr ->
-        Grid.pin_access_iter g pr (fun n ->
-            let i = Grid.i_of_node g n and j = Grid.j_of_node g n in
-            if i < !imin then imin := i;
-            if i > !imax then imax := i;
-            if j < !jmin then jmin := j;
-            if j > !jmax then jmax := j))
-      design.nets.(nr.net_id).pins;
-    if !imin > !imax then None
-    else begin
-      let ilo = max 0 (!imin - m) and ihi = min (g.Grid.nx - 1) (!imax + m) in
-      let jlo = max 0 (!jmin - m) and jhi = min (g.Grid.ny - 1) (!jmax + m) in
-      if ilo / t = ihi / t && jlo / t = jhi / t then
-        Some (((jlo / t) * tiles_x) + (ilo / t))
-      else None
-    end
-  in
-  let buckets = Array.make (tiles_x * tiles_y) [] in
-  let seq_nets = ref [] in
-  Array.iteri
-    (fun k nr ->
-      if Array.length nr.subnets > 0 then
-        match tile_of nr with
-        | Some ti -> buckets.(ti) <- k :: buckets.(ti)
-        | None -> seq_nets := k :: !seq_nets)
-    routes;
-  let tile_jobs =
-    let acc = ref [] in
-    for ti = Array.length buckets - 1 downto 0 do
-      match buckets.(ti) with
-      | [] -> ()
-      | l -> acc := (ti, Array.of_list (List.rev l)) :: !acc
-    done;
-    Array.of_list !acc
-  in
-  let n_local = Array.fold_left (fun a (_, ns) -> a + Array.length ns) 0 tile_jobs in
-  Obs.with_span "route.initial"
-    ~attrs:[ ("tiles", `Int (Array.length tile_jobs)); ("local_nets", `Int n_local) ]
-    (fun () ->
-      (* Tiles are grouped into contiguous runs so each pool task
-         allocates one search context, not one per tile. The grouping
-         only affects scheduling: contexts are generation-stamped, so
-         reusing one across tiles cannot change any search result. *)
-      let deferred =
-        if Array.length tile_jobs = 0 then []
-        else begin
-          let njobs = Array.length tile_jobs in
-          let ngroups = min njobs (max 1 (Exec.jobs () * 4)) in
-          let groups =
-            Array.init ngroups (fun gi ->
-                let lo = gi * njobs / ngroups and hi = (gi + 1) * njobs / ngroups in
-                Array.sub tile_jobs lo (hi - lo))
-          in
-          let per_group =
-            Exec.parallel_map ~chunk:1
-              (fun tiles ->
-                let tctx = make_ctx g config in
-                let dropped = ref [] in
-                Array.iter
-                  (fun (ti, nets) ->
-                    let tx = ti mod tiles_x and ty = ti / tiles_x in
-                    let clamp =
-                      ( tx * t,
-                        min (g.Grid.nx - 1) (((tx + 1) * t) - 1),
-                        ty * t,
-                        min (g.Grid.ny - 1) (((ty + 1) * t) - 1) )
-                    in
-                    (* declare this worker's legal write region to the
-                       scope monitor: every usage-cell write during a
-                       clamped search must decode to a track inside the
-                       tile (checked only while the monitor is armed) *)
-                    let ci0, ci1, cj0, cj1 = clamp in
-                    Obs.Scopemon.set_scope
-                      ~label:(Printf.sprintf "tile(%d,%d)" tx ty)
-                      (Some
-                         (fun n ->
-                           let i = Grid.i_of_node g n
-                           and j = Grid.j_of_node g n in
-                           ci0 <= i && i <= ci1 && cj0 <= j && j <= cj1));
-                    Array.iter
-                      (fun k ->
-                        if not (route_net_clamped ~clamp tctx routes.(k)) then
-                          dropped := k :: !dropped)
-                      nets)
-                  tiles;
-                Obs.Scopemon.clear_scope ();
-                Obs.Counter.add c_bq_pushes (Bqueue.pushes tctx.bq);
-                List.rev !dropped)
-              groups
-          in
-          List.concat (Array.to_list per_group)
-        end
-      in
-      let seq = List.sort Int.compare (List.rev_append !seq_nets deferred) in
-      Obs.Counter.add c_shard_nets (n_local - List.length deferred);
-      Obs.Counter.add c_deferred_nets (List.length seq);
-      Obs.add_attr "sequential_nets" (`Int (List.length seq));
-      List.iter (fun k -> route_net_full ctx routes.(k)) seq);
+  Obs.with_span "route.initial" (fun () -> Array.iter route_net_full routes);
   (* Rip-up and reroute nets crossing overflowed edges, with the
      congestion penalty escalating each pass. The overflow ledger makes
      the congestion test per net O(1) ([Grid.net_overflow]), so a pass
@@ -665,7 +512,7 @@ let route ?(config = default_config) (p : Place.Placement.t) =
                   sn.routed <- false
                 end)
               nr.subnets;
-            route_net_full ctx nr
+            route_net_full nr
           end)
         routes;
     Obs.Counter.add c_ripup_nets !ripped;
@@ -690,11 +537,13 @@ let route ?(config = default_config) (p : Place.Placement.t) =
   Obs.add_attr "overflow_edges" (`Int overflow);
   Obs.add_attr "failed_subnets" (`Int failed_final);
   (* Attribution payload for [vm1trace attribute]: a per-tile map of
-     overflowed edges (the congestion heatmap, on the same fixed tiling
-     as the sharded pass) plus the ids of congested and failed nets —
-     the trace-side join keys for per-net QoR. Only computed while
-     instrumentation is on; one O(nodes) sweep, far below routing cost. *)
+     overflowed edges (the congestion heatmap, on fixed [heat_tile_tracks]
+     tiles) plus the ids of congested and failed nets — the trace-side
+     join keys for per-net QoR. Only computed while instrumentation is
+     on; one O(nodes) sweep, far below routing cost. *)
   if Obs.enabled () then begin
+    let t = heat_tile_tracks in
+    let tiles_x = (g.Grid.nx + t - 1) / t and tiles_y = (g.Grid.ny + t - 1) / t in
     let heat = Array.make (tiles_x * tiles_y) 0 in
     let bump_tile n =
       let ti = min (tiles_x - 1) (Grid.i_of_node g n / t)

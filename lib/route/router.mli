@@ -31,11 +31,6 @@ type config = {
                                way to join aligned pins *)
   layers : int;            (** metal layers available to the router, 2..6 *)
   pdn_stripes : bool;      (** install power-distribution blockage *)
-  shard_tracks : int;      (** tile side, in tracks, for the sharded
-                               initial pass (clamped to >= 8). The tiling
-                               is a fixed function of the grid — never of
-                               [Exec.jobs] — so routing results are
-                               byte-identical across pool sizes *)
   grid_skeleton : Grid.skeleton option;
       (** cached rail/PDN blockage to seed {!Grid.of_placement} with
           (see {!Grid.skeleton}); [None] recomputes it. Purely a
@@ -80,15 +75,11 @@ type result = {
 
 (** [route ?config placement] routes all signal nets of the placement.
 
-    The initial pass is region-sharded: the grid is cut into fixed
-    [shard_tracks]-sized tiles, nets whose pin-access bounding box plus
-    the first search margin fits inside one tile are routed concurrently
-    on the shared [Exec] pool with searches clamped to their tile, and
-    the remainder (tile-spanning nets plus any in-tile failure, rolled
-    back first) is routed sequentially afterwards in the original order
-    with full window escalation. Concurrent tiles touch disjoint usage
-    cells and the tiling ignores [Exec.jobs], so results are
-    byte-identical across [--jobs]. Rip-up passes stay sequential.
+    One sequential initial pass routes every net, shortest half-perimeter
+    wirelength first, each subnet's A* window escalating from
+    [search_margin] to the whole grid; rip-up passes follow. Nothing
+    runs on the [Exec] pool, so results are byte-identical across
+    [--jobs].
 
     Hot-path machinery: pin access nodes come from the index
     precomputed at [Grid.of_placement] time, the A* open list is the
@@ -102,7 +93,6 @@ type result = {
     [route.initial] and per-pass [route.ripup] spans, the
     [route.subnets] / [route.subnet_attempts] / [route.ripup_nets] /
     [route.ripup_candidates] / [route.failed_subnets] /
-    [route.shard_nets] / [route.deferred_nets] / [route.bq_pushes] /
-    [route.pin_access_hits] counters and the [route.overflow_edges]
-    gauge. *)
+    [route.bq_pushes] / [route.pin_access_hits] counters and the
+    [route.overflow_edges] gauge. *)
 val route : ?config:config -> Place.Placement.t -> result

@@ -110,10 +110,10 @@ let test_distopt_identity () =
   Alcotest.(check bool) "orients" true
     (a.Place.Placement.orients = b.Place.Placement.orients)
 
+(* The router runs no pool work; this guards against parallelism
+   creeping back into it without the same-bytes contract. *)
 let test_route_identity () =
   let p = Lazy.force fixture in
-  (* small tiles force a multi-tile sharded pass even on this small die *)
-  let config = { Route.Router.default_config with shard_tracks = 16 } in
   let digest (r : Route.Router.result) =
     Digest.to_hex
       (Digest.string
@@ -122,9 +122,9 @@ let test_route_identity () =
             []))
   in
   Exec.set_jobs 1;
-  let r1 = Route.Router.route ~config p in
+  let r1 = Route.Router.route p in
   Exec.set_jobs 4;
-  let r4 = Route.Router.route ~config p in
+  let r4 = Route.Router.route p in
   Alcotest.(check string) "routes identical" (digest r1) (digest r4);
   Alcotest.(check bool) "usage identical" true
     (r1.Route.Router.grid.Route.Grid.wire_usage

@@ -91,11 +91,15 @@ let test_domain_in_exec () =
   Alcotest.(check (list string)) "lib/exec may use Domain" []
     (active_rules ~path:"lib/exec/pool.ml" "let d = Domain.spawn (fun () -> 1)")
 
-let test_atomic_vetted () =
-  Alcotest.(check (list string)) "grid.ml Atomic is vetted, not active" []
-    (active_rules ~path:"lib/route/grid.ml" "let a = Atomic.make 0");
+let test_domain_vetted () =
+  let src = "let n = Domain.recommended_domain_count ()" in
+  Alcotest.(check (list string)) "bench/main.ml Domain is vetted, not active" []
+    (active_rules ~path:"bench/main.ml" src);
   Alcotest.(check (list string)) "but reported as vetted" [ "domain-prims" ]
-    (rules_of ~path:"lib/route/grid.ml" Lint.Vetted "let a = Atomic.make 0")
+    (rules_of ~path:"bench/main.ml" Lint.Vetted src);
+  Alcotest.(check (list string)) "lib/route/grid.ml Atomic is active"
+    [ "domain-prims" ]
+    (active_rules ~path:"lib/route/grid.ml" "let a = Atomic.make 0")
 
 (* --- global-random --- *)
 
@@ -529,7 +533,7 @@ let () =
           Alcotest.test_case "Mutex fires" `Quick test_mutex_outside;
           Alcotest.test_case "Atomic fires" `Quick test_atomic_outside;
           Alcotest.test_case "lib/exec exempt" `Quick test_domain_in_exec;
-          Alcotest.test_case "grid.ml Atomic vetted" `Quick test_atomic_vetted;
+          Alcotest.test_case "bench Domain vetted" `Quick test_domain_vetted;
         ] );
       ( "global-random",
         [

@@ -120,28 +120,6 @@ let test_stats_string () =
   checkb "mentions name" true
     (String.length s > 0 && String.sub s 0 1 = "t")
 
-(* --- stats --- *)
-
-let test_stats_fanout () =
-  let d = small ~n:600 () in
-  let hist = Netlist.Stats.fanout_histogram d in
-  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 hist in
-  check "histogram covers all signal nets" (List.length (Netlist.Design.signal_nets d)) total;
-  List.iter (fun (fanout, _) -> checkb "fanout >= 1" true (fanout >= 1)) hist;
-  checkb "avg fanout sane" true
-    (let a = Netlist.Stats.average_fanout d in
-     a >= 1.0 && a < 6.0)
-
-let test_stats_logic_depth () =
-  let d = small ~n:600 () in
-  let depth = Netlist.Stats.logic_depth d in
-  checkb "positive depth" true (depth > 0);
-  checkb "bounded by instance count" true (depth < 600);
-  (* a bigger locality window cannot reduce information: just smoke the
-     report string *)
-  checkb "report mentions depth" true
-    (String.length (Netlist.Stats.report d) > 20)
-
 (* --- named designs --- *)
 
 let test_designs_scaling () =
@@ -189,11 +167,6 @@ let () =
           Alcotest.test_case "signal nets" `Quick test_signal_nets_exclude_clock;
           Alcotest.test_case "nets_of_instance" `Quick test_nets_of_instance;
           Alcotest.test_case "stats" `Quick test_stats_string;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "fanout histogram" `Quick test_stats_fanout;
-          Alcotest.test_case "logic depth" `Quick test_stats_logic_depth;
         ] );
       ( "designs",
         [

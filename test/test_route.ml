@@ -286,6 +286,54 @@ let test_clear_usage () =
 
 (* --- Router --- *)
 
+(* The overflow total is a plain ledger field updated by the four
+   commit/uncommit functions; a second user on an edge overflows it and
+   removing that user (or clearing usage) returns it to zero. *)
+let test_commit_uncommit_ledger () =
+  let p = placed_design ~n:60 closed_lib in
+  let g = Route.Grid.of_placement p in
+  let free_node ok =
+    let rec go n =
+      if n >= Route.Grid.node_count g then Alcotest.fail "no free edge"
+      else if ok n then n
+      else go (n + 1)
+    in
+    go 0
+  in
+  let w =
+    free_node (fun n ->
+        Route.Grid.has_wire_edge g n
+        && g.Route.Grid.wire_usage.(n) = 0
+        && g.Route.Grid.wire_owner.(n) = Route.Grid.free)
+  in
+  let v =
+    free_node (fun n ->
+        Route.Grid.has_via_edge g n && g.Route.Grid.via_usage.(n) = 0)
+  in
+  let agree label =
+    check label (Route.Grid.overflow_count_scan g) (Route.Grid.overflow_count g)
+  in
+  Route.Grid.commit_wire g ~net:0 w;
+  check "one user, no overflow" 0 (Route.Grid.overflow_count g);
+  Route.Grid.commit_wire g ~net:1 w;
+  check "second user overflows the wire" 1 (Route.Grid.overflow_count g);
+  check "net 0 on overflow" 1 (Route.Grid.net_overflow g 0);
+  check "net 1 on overflow" 1 (Route.Grid.net_overflow g 1);
+  Route.Grid.commit_via g ~net:0 v;
+  Route.Grid.commit_via g ~net:2 v;
+  check "via overflow adds one edge" 2 (Route.Grid.overflow_count g);
+  check "net 0 on two overflowed edges" 2 (Route.Grid.net_overflow g 0);
+  agree "ledger = scan while congested";
+  Route.Grid.uncommit_wire g ~net:1 w;
+  check "wire back to capacity" 1 (Route.Grid.overflow_count g);
+  check "net 1 off overflow" 0 (Route.Grid.net_overflow g 1);
+  check "net 0 keeps the via" 1 (Route.Grid.net_overflow g 0);
+  agree "ledger = scan after uncommit";
+  Route.Grid.clear_usage g;
+  check "cleared total" 0 (Route.Grid.overflow_count g);
+  check "cleared net" 0 (Route.Grid.net_overflow g 0);
+  agree "ledger = scan after clear"
+
 let test_route_completes () =
   let p = placed_design closed_lib in
   let r = Route.Router.route p in
@@ -501,6 +549,93 @@ let test_overflow_ledger () =
         (Route.Grid.net_overflow g nr.Route.Router.net_id > 0))
     r.Route.Router.routes
 
+(* --- the initial pass and its telemetry --- *)
+
+let traced_route ?config p =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled false)
+    (fun () ->
+      let r = Route.Router.route ?config p in
+      (r, Obs.snapshot ()))
+
+let rec find_span name (s : Obs.Span.t) =
+  if s.Obs.Span.name = name then Some s
+  else List.find_map (find_span name) s.Obs.Span.children
+
+let span_of snap name =
+  match List.find_map (find_span name) snap.Obs.spans with
+  | Some s -> s
+  | None -> Alcotest.failf "no %s span" name
+
+let counter_of snap name =
+  match List.assoc_opt name snap.Obs.counters with Some v -> v | None -> 0
+
+let int_attr (s : Obs.Span.t) key =
+  match List.assoc_opt key s.Obs.Span.attrs with
+  | Some (`Int v) -> v
+  | _ -> Alcotest.failf "span %s has no int attr %s" s.Obs.Span.name key
+
+(* With no rip-up pass, the single sequential pass attempts each subnet
+   of each net exactly once: nothing is deferred to a second pass. *)
+let test_initial_pass_attempts_every_subnet () =
+  let p = placed_design closed_lib in
+  let config = { Route.Router.default_config with ripup_passes = 0 } in
+  let r, snap = traced_route ~config p in
+  let total =
+    Array.fold_left
+      (fun acc (nr : Route.Router.net_route) ->
+        acc + Array.length nr.Route.Router.subnets)
+      0 r.Route.Router.routes
+  in
+  checkb "design has subnets" true (total > 0);
+  check "route.subnets" total (counter_of snap "route.subnets");
+  check "one attempt per subnet" total
+    (counter_of snap "route.subnet_attempts");
+  check "nets attr" (Array.length r.Route.Router.routes)
+    (int_attr (span_of snap "route") "nets")
+
+(* The initial pass carries no tile bookkeeping: neither the sharding
+   counters nor the per-tile attributes are registered or emitted. *)
+let test_no_shard_telemetry () =
+  let p = placed_design closed_lib in
+  let _, snap = traced_route p in
+  List.iter
+    (fun name ->
+      checkb (name ^ " not registered") false
+        (List.mem_assoc name snap.Obs.counters))
+    [ "route.shard_nets"; "route.deferred_nets" ];
+  let initial = span_of snap "route.initial" in
+  List.iter
+    (fun key ->
+      checkb (key ^ " not attached") false
+        (List.mem_assoc key initial.Obs.Span.attrs))
+    [ "tiles"; "local_nets"; "sequential_nets" ]
+
+(* The attribution heat map keeps fixed 64-track tiles, and its cells
+   add up to the overflow ledger (one bump per overflowed wire or via
+   edge). *)
+let test_heat_map_tiles () =
+  let p = placed_design ~n:150 ~utilization:0.85 closed_lib in
+  let config = { Route.Router.default_config with layers = 3; ripup_passes = 1 } in
+  let r, snap = traced_route ~config p in
+  let g = r.Route.Router.grid in
+  let s = span_of snap "route" in
+  check "tile tracks" 64 (int_attr s "heat_tile_tracks");
+  check "tiles x" ((g.Route.Grid.nx + 63) / 64) (int_attr s "heat_tiles_x");
+  check "tiles y" ((g.Route.Grid.ny + 63) / 64) (int_attr s "heat_tiles_y");
+  let cells =
+    match List.assoc_opt "heat_overflow" s.Obs.Span.attrs with
+    | Some (`Str str) -> List.map int_of_string (String.split_on_char ',' str)
+    | _ -> Alcotest.fail "no heat_overflow attr"
+  in
+  check "one cell per tile"
+    (int_attr s "heat_tiles_x" * int_attr s "heat_tiles_y")
+    (List.length cells);
+  check "cells sum to the ledger" (Route.Grid.overflow_count g)
+    (List.fold_left ( + ) 0 cells)
+
 let () =
   Alcotest.run "route"
     [
@@ -527,6 +662,8 @@ let () =
           Alcotest.test_case "reduced layers" `Quick test_reduced_layer_stack;
           Alcotest.test_case "route on 4 layers" `Quick test_route_on_four_layers;
           Alcotest.test_case "clear usage" `Quick test_clear_usage;
+          Alcotest.test_case "commit/uncommit ledger" `Quick
+            test_commit_uncommit_ledger;
         ] );
       ( "router",
         [
@@ -537,6 +674,11 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_router_deterministic;
           Alcotest.test_case "openm1 routes" `Quick test_openm1_routes;
           Alcotest.test_case "overflow ledger" `Quick test_overflow_ledger;
+          Alcotest.test_case "initial pass attempts every subnet" `Quick
+            test_initial_pass_attempts_every_subnet;
+          Alcotest.test_case "no shard telemetry" `Quick
+            test_no_shard_telemetry;
+          Alcotest.test_case "heat map tiles" `Quick test_heat_map_tiles;
         ] );
       ( "metrics",
         [
