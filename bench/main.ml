@@ -835,7 +835,7 @@ let () =
             Printf.eprintf "bench: cannot write trace: %s\n%!" msg;
             exit 1)
        | None -> ());
-      if metrics then Report.Obs_report.print (Obs.snapshot ());
+      if metrics then print_string (Trace.Profile.snapshot_text (Obs.snapshot ()));
       Obs.set_enabled false
     in
     (match mode with

@@ -201,7 +201,7 @@ let run scale solver csv_prefix trace metrics jobs manifest out experiments =
         Printf.eprintf "expt: cannot write trace: %s\n%!" msg;
         exit 1)
    | None -> ());
-  if metrics then Report.Obs_report.print (Obs.snapshot ())
+  if metrics then print_string (Trace.Profile.snapshot_text (Obs.snapshot ()))
 
 let cmd =
   let doc = "regenerate the paper's tables and figures" in

@@ -72,8 +72,9 @@ let admin_socket =
                line each (see PROTOCOL.md, \"The admin plane\"). Runs on \
                its own domain and only reads observability state, so \
                scraping never blocks or perturbs the job pipeline. \
-               Enables observability and rolling windows. vm1top renders \
-               this endpoint." ~docv:"PATH")
+               Enables observability. $(b,vm1trace top --socket) renders \
+               this endpoint; its --watch interval views are the \
+               difference of two scrapes." ~docv:"PATH")
 
 let job_log =
   Arg.(value & opt (some string) None & info [ "job-log" ]
@@ -211,9 +212,6 @@ let run socket_path accept_limit jobs max_in_flight solver trace metrics
     admin_socket job_log =
   if trace <> None || metrics || admin_socket <> None || job_log <> None then
     Obs.set_enabled true;
-  (* windows feed the admin plane's "last 10s / 60s" views; without an
-     admin endpoint nothing reads them, so leave them off *)
-  if admin_socket <> None then Obs.Window.set_enabled true;
   if jobs > 0 then Exec.set_jobs jobs;
   let max_in_flight = if max_in_flight > 0 then Some max_in_flight else None in
   let cache = Serve.Cache.create () in
@@ -261,7 +259,7 @@ let run socket_path accept_limit jobs max_in_flight solver trace metrics
    | None -> ());
   (* stdout is the protocol channel — the summary goes to stderr *)
   if metrics then
-    Printf.eprintf "%s%!" (Report.Obs_report.summary (Obs.snapshot ()))
+    prerr_string (Trace.Profile.snapshot_text (Obs.snapshot ()))
 
 let cmd =
   let doc = "batch-optimization daemon: the vm1dp flow as a service" in

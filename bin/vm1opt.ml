@@ -147,7 +147,7 @@ let run design arch scale utilization alpha sequence solver dump_prefix
         Printf.eprintf "vm1opt: cannot write trace: %s\n%!" msg;
         exit 1)
    | None -> ());
-  if metrics then Report.Obs_report.print (Obs.snapshot ());
+  if metrics then print_string (Trace.Profile.snapshot_text (Obs.snapshot ()));
   if check then begin
     print_endline "flow sanitizer:";
     let findings = Check.flow params p in

@@ -4,6 +4,7 @@
      diff          regression gate between two traces (tolerance bands)
      flame         folded-stack / speedscope export
      attribute     per-window QoR table + congestion heatmap + net rows
+     top           live vm1d admin-socket report (or a saved metrics reply)
 
    Exit status mirrors drc: 0 = clean, 1 = regression found (diff only),
    2 = unreadable input / usage error. *)
@@ -47,43 +48,9 @@ let ms ns = float_of_int ns /. 1e6
 (* --- report --------------------------------------------------------- *)
 
 let print_report oc (t : Trace.Model.t) ~top =
-  let rows = Trace.Profile.rows t in
-  let rows =
-    match top with 0 -> rows | n -> List.filteri (fun i _ -> i < n) rows
-  in
   Printf.fprintf oc "wall %.3f ms, %d roots\n\n" (ms (Trace.Model.wall_ns t))
     (List.length t.spans);
-  Printf.fprintf oc "%-28s %8s %12s %12s %10s %10s %10s\n" "span" "calls"
-    "total ms" "self ms" "p50 ms" "p90 ms" "p99 ms";
-  List.iter
-    (fun (r : Trace.Profile.row) ->
-      Printf.fprintf oc "%-28s %8d %12.3f %12.3f %10.3f %10.3f %10.3f\n"
-        r.name r.calls (ms r.total_ns) (ms r.self_ns) (ms r.p50_ns)
-        (ms r.p90_ns) (ms r.p99_ns))
-    rows;
-  if t.counters <> [] then begin
-    Printf.fprintf oc "\n%-40s %12s\n" "counter" "value";
-    List.iter
-      (fun (k, v) -> Printf.fprintf oc "%-40s %12d\n" k v)
-      t.counters
-  end;
-  if t.gauges <> [] then begin
-    Printf.fprintf oc "\n%-40s %12s\n" "gauge" "value";
-    List.iter
-      (fun (k, v) -> Printf.fprintf oc "%-40s %12g\n" k v)
-      t.gauges
-  end;
-  if t.histograms <> [] then begin
-    Printf.fprintf oc "\n%-32s %8s %10s %10s %10s %10s\n" "histogram" "count"
-      "sum" "p50" "p90" "p99";
-    List.iter
-      (fun (k, (h : Trace.Model.hist)) ->
-        Printf.fprintf oc "%-32s %8d %10g %10g %10g %10g\n" k h.count h.sum
-          (Trace.Model.hist_percentile h 0.50)
-          (Trace.Model.hist_percentile h 0.90)
-          (Trace.Model.hist_percentile h 0.99))
-      t.histograms
-  end
+  output_string oc (Trace.Profile.to_text ~top t)
 
 let top_arg =
   Arg.(value & opt int 0 & info [ "top" ] ~docv:"N"
@@ -292,6 +259,225 @@ let run_attribute file json out =
         else print_attribute oc a);
     0
 
+(* --- top -------------------------------------------------------------- *)
+
+(* Live report over a vm1d admin endpoint: polls the `metrics` and
+   `health` verbs (or reads one saved vm1dp-metrics/2 reply) and renders
+   throughput, latency percentiles, cache hit rates, allocation gauges
+   and the busiest spans. The cumulative block parses through
+   Trace.Model's metric parser; --watch takes interval throughput and
+   latency from Trace.Model.delta of consecutive scrapes. *)
+
+module J = Obs.Json
+
+exception Top_error of string
+
+let top_fail fmt = Printf.ksprintf (fun m -> raise (Top_error m)) fmt
+
+let socket_path =
+  Arg.(value & opt (some string) None & info [ "socket"; "s" ]
+         ~doc:"Poll the vm1d admin socket at $(docv) (the daemon's \
+               --admin-socket path)." ~docv:"PATH")
+
+let from_file =
+  Arg.(value & opt (some string) None & info [ "from" ]
+         ~doc:"Render a saved vm1dp-metrics/2 reply from $(docv) instead of \
+               polling a socket (no health line)." ~docv:"FILE")
+
+let watch =
+  Arg.(value & opt float 0.0 & info [ "watch"; "w" ]
+         ~doc:"Refresh every $(docv) seconds until interrupted, showing \
+               throughput and latency since the previous poll (0 = render \
+               once and exit). Socket mode only." ~docv:"SECS")
+
+let top_spans =
+  Arg.(value & opt int 8 & info [ "spans" ]
+         ~doc:"Show the $(docv) busiest span names (0 hides the table)."
+         ~docv:"N")
+
+(* one parsed metrics reply (plus the health reply in socket mode) *)
+type scrape = {
+  uptime : float;
+  metrics : Trace.Model.t;  (* the cumulative block *)
+  span_rows : (string * int * float) list;  (* name, calls, total ms *)
+  health : J.t option;
+}
+
+let num = function
+  | Some (J.Int i) -> Some (float_of_int i)
+  | Some (J.Float f) -> Some f
+  | _ -> None
+
+let parse_doc what text =
+  match J.parse text with
+  | Ok j -> j
+  | Error e -> top_fail "%s: %s" what e
+
+let parse_scrape what ?health j =
+  (match J.member "schema" j with
+   | Some (J.Str s) when String.equal s Obs.Schemas.metrics -> ()
+   | _ -> top_fail "%s: not a %s reply" what Obs.Schemas.metrics);
+  let metrics =
+    match Option.map Trace.Model.metrics_of_json (J.member "cumulative" j) with
+    | Some (Ok m) -> m
+    | Some (Error e) -> top_fail "%s: %s" what e
+    | None -> top_fail "%s: no cumulative block" what
+  in
+  let span_rows =
+    match J.member "spans" j with
+    | Some (J.Obj rows) ->
+      List.filter_map
+        (fun (name, v) ->
+          match (J.member "calls" v, num (J.member "total_ms" v)) with
+          | Some (J.Int c), Some t -> Some (name, c, t)
+          | _ -> None)
+        rows
+    | _ -> []
+  in
+  match num (J.member "uptime_s" j) with
+  | Some uptime -> { uptime; metrics; span_rows; health }
+  | None -> top_fail "%s: no uptime_s" what
+
+let poll path =
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+    (fun () ->
+      (try Unix.connect sock (Unix.ADDR_UNIX path)
+       with Unix.Unix_error (err, _, _) ->
+         top_fail "cannot connect to %s: %s" path (Unix.error_message err));
+      let ic = Unix.in_channel_of_descr sock in
+      let oc = Unix.out_channel_of_descr sock in
+      let ask verb =
+        match
+          Out_channel.output_string oc (verb ^ "\n");
+          Out_channel.flush oc;
+          In_channel.input_line ic
+        with
+        | None | (exception Sys_error _) ->
+          top_fail "admin endpoint closed mid-scrape"
+        | Some line -> parse_doc ("admin " ^ verb ^ " reply") line
+      in
+      let metrics = ask "metrics" in
+      let health = ask "health" in
+      parse_scrape "admin metrics reply" ~health metrics)
+
+let load_scrape path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error m -> top_fail "%s" m
+  | text -> parse_scrape path (parse_doc path text)
+
+let fmt_opt fmt = function Some v -> Printf.sprintf fmt v | None -> "-"
+
+let render ~top_spans ~prev cur =
+  let b = Buffer.create 1024 in
+  let m = cur.metrics in
+  let counter name = List.assoc_opt name m.counters in
+  let gauge name = List.assoc_opt name m.gauges in
+  Printf.bprintf b "vm1d · uptime %.1f s · jobs %s (%s errors) · queue depth %s\n"
+    cur.uptime
+    (fmt_opt "%d" (counter "serve.jobs"))
+    (fmt_opt "%d" (counter "serve.errors"))
+    (fmt_opt "%.0f"
+       (match cur.health with
+        | Some h -> num (J.member "queue_depth" h)
+        | None -> gauge "serve.queue_depth"));
+  (* interval view against the previous poll, cumulative otherwise *)
+  let interval =
+    match prev with
+    | Some p when cur.uptime > p.uptime ->
+      Some (p, cur.uptime -. p.uptime, Trace.Model.delta ~before:p.metrics m)
+    | _ -> None
+  in
+  let label, span_s, view =
+    match interval with
+    | Some (_, dt, d) -> (Printf.sprintf "last %.1fs" dt, dt, d)
+    | None -> ("cumulative", cur.uptime, m)
+  in
+  Printf.bprintf b "  throughput (%s): %s job/s\n" label
+    (fmt_opt "%.2f"
+       (match List.assoc_opt "serve.jobs" view.counters with
+        | Some j when span_s > 0.0 -> Some (float_of_int j /. span_s)
+        | _ -> None));
+  (match List.assoc_opt "serve.job_latency_ms" view.histograms with
+   | Some h when h.count > 0 ->
+     let p = Obs.Histogram.percentile h in
+     Printf.bprintf b
+       "  latency ms (%s): p50 %.1f  p90 %.1f  p99 %.1f  (n=%d)\n" label
+       (p 0.50) (p 0.90) (p 0.99) h.count
+   | _ -> Printf.bprintf b "  latency ms (%s): no samples\n" label);
+  let rate name hits misses =
+    let h = Option.value ~default:0 (counter hits)
+    and n = Option.value ~default:0 (counter misses) in
+    if h + n = 0 then name ^ " -"
+    else
+      Printf.sprintf "%s %.1f%% (%d/%d)" name
+        (100.0 *. float_of_int h /. float_of_int (h + n))
+        h (h + n)
+  in
+  Printf.bprintf b "  caches: %s   %s\n"
+    (rate "artifact" "serve.cache_hits" "serve.cache_misses")
+    (rate "result memo" "serve.result_hits" "serve.result_misses");
+  Printf.bprintf b "  alloc: minor words/window %s   minor words/subnet %s\n"
+    (fmt_opt "%.0f" (gauge "distopt.minor_words_per_window"))
+    (fmt_opt "%.0f" (gauge "route.minor_words_per_subnet"));
+  (* busiest spans, with call rates against the previous poll *)
+  if top_spans > 0 && not (List.is_empty cur.span_rows) then begin
+    let shown =
+      List.sort (fun (_, _, a) (_, _, b) -> Float.compare b a) cur.span_rows
+      |> List.filteri (fun i _ -> i < top_spans)
+    in
+    Printf.bprintf b "  %-36s %10s %12s %10s\n" "span" "calls" "total ms"
+      "calls/s";
+    List.iter
+      (fun (name, calls, total) ->
+        let rate =
+          match interval with
+          | Some (p, dt, _) ->
+            let before =
+              match
+                List.find_opt (fun (n, _, _) -> String.equal n name) p.span_rows
+              with
+              | Some (_, c, _) -> c
+              | None -> 0
+            in
+            Printf.sprintf "%.1f" (float_of_int (calls - before) /. dt)
+          | None -> "-"
+        in
+        Printf.bprintf b "  %-36s %10d %12.1f %10s\n" name calls total rate)
+      shown
+  end;
+  Buffer.contents b
+
+let run_top socket_path from_file watch top_spans =
+  let fail m =
+    Printf.eprintf "vm1trace top: %s\n%!" m;
+    2
+  in
+  let once read =
+    print_string (render ~top_spans ~prev:None (read ()));
+    0
+  in
+  let rec loop path prev =
+    let cur = poll path in
+    (* clear screen + home, like top(1) *)
+    print_string "\027[2J\027[H";
+    print_string (render ~top_spans ~prev cur);
+    flush stdout;
+    Unix.sleepf watch;
+    loop path (Some cur)
+  in
+  (* a daemon that goes away mid-scrape is an error reply, not SIGPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  try
+    match (socket_path, from_file) with
+    | Some path, None when watch > 0.0 -> loop path None
+    | Some path, None -> once (fun () -> poll path)
+    | None, Some file when watch <= 0.0 -> once (fun () -> load_scrape file)
+    | None, Some _ -> fail "--watch needs --socket"
+    | _ -> fail "pass exactly one of --socket or --from"
+  with Top_error m -> fail m
+
 (* --- command wiring -------------------------------------------------- *)
 
 let report_cmd =
@@ -329,9 +515,18 @@ let attribute_cmd =
     Term.(const run_attribute $ trace_file ~docv:"TRACE" 0 $ json_flag
           $ out_file)
 
+let top_cmd =
+  Cmd.v
+    (Cmd.info "top"
+       ~doc:"live report over a vm1d admin socket (or a saved metrics \
+             reply): throughput, latency, caches, busiest spans")
+    Term.(const run_top $ socket_path $ from_file $ watch $ top_spans)
+
 let cmd =
   Cmd.group
-    (Cmd.info "vm1trace" ~doc:"analyze vm1dp-trace/1 trace files")
-    [ report_cmd; critical_path_cmd; diff_cmd; flame_cmd; attribute_cmd ]
+    (Cmd.info "vm1trace"
+       ~doc:"analyze vm1dp-trace/1 trace files and live vm1d metrics")
+    [ report_cmd; critical_path_cmd; diff_cmd; flame_cmd; attribute_cmd;
+      top_cmd ]
 
 let () = exit (Cmd.eval' cmd)

@@ -175,77 +175,15 @@ val cursor : unit -> cursor
 
 (** [snapshot_delta c] is {!snapshot} restricted to the root spans
     completed since the previous call on [c] (metrics cumulative as
-    always), advancing [c]. [reset] rewinds history; a cursor ahead of
-    a reset history returns empty deltas until new roots complete. *)
+    always), advancing [c]. O(spans since the last call on [c]): the
+    history keeps its root count beside the list. [reset] rewinds
+    history; a cursor ahead of a reset history returns empty deltas
+    until new roots complete. *)
 val snapshot_delta : cursor -> snapshot
 
-(** [reset ()] drops completed spans and zeroes every registered metric
-    (rolling-window state included); handles stay valid. Open spans on
-    other domains are unaffected. *)
+(** [reset ()] drops completed spans and zeroes every registered metric;
+    handles stay valid. Open spans on other domains are unaffected. *)
 val reset : unit -> unit
-
-(** {1 Rolling windows}
-
-    The cumulative metrics above answer "since start"; {!Window} makes
-    the same counters, gauges and histograms answer "over the last N
-    seconds" for a live daemon. The write side is a lock-free rolling
-    layer: time is cut into fixed-width buckets, and every metric owns
-    per-stripe ring buffers of per-bucket deltas (one writer per
-    stripe — the writing domain's — exactly like the counter cells),
-    merged on read the way snapshots merge per-domain state. Off by
-    default; when off, the metric hot paths are unchanged. When on,
-    recording stays allocation-free after a one-time cold per-stripe
-    ring allocation, so enabling windows cannot shift the allocation
-    gauges the perf gate bands.
-
-    Accuracy contract: a read racing a bucket turnover may transiently
-    misattribute that instant's bumps between adjacent buckets, but a
-    horizon covering the whole recording period equals the cumulative
-    value exactly once the writing domains are joined — the
-    windowed ≡ merged-deltas invariant (property-tested across 1/2/4
-    domains in [test_obs]). *)
-
-module Window : sig
-  (** Window recording is off by default; [vm1d] enables it when the
-      admin plane is up. Enable before traffic: bumps recorded while
-      off are visible to cumulative reads only. *)
-  val enabled : unit -> bool
-
-  val set_enabled : bool -> unit
-
-  (** [configure ~bucket_ns] sets the bucket width (default 1s, clamped
-      to >= 1ms). Call before {!set_enabled}: slots recorded under a
-      different width read as stale, not wrong, but the transition
-      empties the windows. *)
-  val configure : bucket_ns:int -> unit
-
-  (** Longest supported horizon: (ring length - 1) buckets. Reads are
-      clamped to it. *)
-  val max_horizon_ns : unit -> int64
-
-  (** One windowed view over every registered metric, sorted by name
-      like {!snapshot}. A windowed gauge is the value written in the
-      newest bucket inside the horizon, or [None] when the gauge was
-      not set inside it (a gauge is a level — fall back to
-      {!Gauge.value}). A windowed histogram is an ordinary
-      {!Histogram.snap} of the in-horizon observations, so
-      {!Histogram.percentile} applies (and is [nan] on an empty
-      window). *)
-  type view = {
-    v_now_ns : int64;
-    v_horizon_ns : int64;  (** after clamping to [max_horizon_ns] *)
-    v_counters : (string * int) list;
-    v_gauges : (string * float option) list;
-    v_histograms : (string * Histogram.snap) list;
-  }
-
-  (** [read ~horizon_ns ()] merges the per-stripe rings into the view
-      for the last [horizon_ns] (including the partial current bucket
-      and the partial bucket containing the horizon start). [now_ns]
-      overrides the clock for tests: a far-future [now_ns] reads every
-      slot as expired. *)
-  val read : ?now_ns:int64 -> horizon_ns:int64 -> unit -> view
-end
 
 (** {1 Bounded ring}
 
@@ -282,8 +220,15 @@ type span_agg = {
     time. *)
 val aggregate_spans : Span.t list -> (string * span_agg) list
 
+(** [metrics_json snap] is the metric part of {!trace_json}: an object
+    with the [counters], [gauges] and [histograms] members (every
+    histogram with [bounds], [counts], [count], [sum] and p50/p90/p99).
+    The daemon's admin [metrics] reply embeds it as [cumulative]. *)
+val metrics_json : snapshot -> Json.t
+
 (** [trace_json snap] is the machine-readable trace (schema documented
-    in the README's "Measuring performance" section). *)
+    in the README's "Measuring performance" section): the schema tag,
+    the span forest, then the members of {!metrics_json}. *)
 val trace_json : snapshot -> Json.t
 
 (** [write_trace path] takes a snapshot and writes its JSON trace to

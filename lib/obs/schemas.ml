@@ -44,7 +44,7 @@ let to_string = function
   | Bench_manifest -> "vm1dp-bench-manifest/1"
   | Expt_matrix -> "vm1dp-expt-matrix/1"
   | Distopt_profile -> "vm1dp-distopt-profile/1"
-  | Metrics -> "vm1dp-metrics/1"
+  | Metrics -> "vm1dp-metrics/2"
   | Health -> "vm1dp-health/1"
   | Joblog -> "vm1dp-joblog/1"
 

@@ -38,9 +38,13 @@ type id =
           solve-time percentiles, portfolio win counts, placement QoR
           (the committed bench/distopt_profile_baseline.json) *)
   | Metrics
-      (** [Serve.Telemetry]: the admin-plane [metrics] reply —
-          cumulative + windowed metric views with latency percentiles
-          (spec in PROTOCOL.md, "The admin plane") *)
+      (** [Serve.Telemetry]: the admin-plane [metrics] reply — uptime,
+          the cumulative counters/gauges/histograms in the trace's own
+          encoding ([Obs.metrics_json]: histograms carry [bounds] and
+          [counts]) and running per-span totals. Interval views are the
+          client's difference of two replies; [/2] dropped the [/1]
+          server-side [windows] member (spec in PROTOCOL.md, "The admin
+          plane") *)
   | Health
       (** [Serve.Telemetry]: the admin-plane [health] reply —
           readiness, uptime, in-flight/queue depth, cache hit rates and

@@ -122,46 +122,10 @@ let record_job t ~queue_ns ~exec_ns reply =
 
 let uptime_s t ~now = Int64.to_float (Int64.sub now t.start_ns) /. 1e9
 
-let hist_json (s : Obs.Histogram.snap) =
-  J.Obj
-    [
-      ("count", J.Int s.Obs.Histogram.count);
-      ("sum", J.Float s.Obs.Histogram.sum);
-      ("p50", J.Float (Obs.Histogram.percentile s 0.50));
-      ("p90", J.Float (Obs.Histogram.percentile s 0.90));
-      ("p99", J.Float (Obs.Histogram.percentile s 0.99));
-    ]
-
-let window_horizons_s = [ 10; 60 ]
-
-let window_json horizon_s =
-  let v =
-    Obs.Window.read ~horizon_ns:(Int64.of_int (horizon_s * 1_000_000_000)) ()
-  in
-  J.Obj
-    [
-      ("horizon_s", J.Int horizon_s);
-      ( "counters",
-        J.Obj
-          (List.map (fun (n, c) -> (n, J.Int c)) v.Obs.Window.v_counters) );
-      ( "gauges",
-        J.Obj
-          (List.map
-             (fun (n, g) ->
-               (n, match g with Some x -> J.Float x | None -> J.Null))
-             v.Obs.Window.v_gauges) );
-      ( "histograms",
-        J.Obj
-          (List.map
-             (fun (n, s) -> (n, hist_json s))
-             v.Obs.Window.v_histograms) );
-    ]
-
 (* Fold spans completed since the previous scrape into the running
    per-name totals, then render every total. Hashtbl iteration order is
    unspecified, so the rows are collected and sorted by name. *)
-let spans_json t =
-  let delta = Obs.snapshot_delta t.cursor in
+let spans_json t (delta : Obs.snapshot) =
   List.iter
     (fun (name, agg) ->
       match Hashtbl.find_opt t.span_aggs name with
@@ -188,30 +152,15 @@ let spans_json t =
 
 let metrics_json t =
   let now = Obs.now_ns () in
-  let snap = Obs.snapshot () in
+  (* one delta read: its metrics are cumulative, its spans are only the
+     roots completed since the previous scrape *)
+  let delta = Obs.snapshot_delta t.cursor in
   J.Obj
     [
       ("schema", J.Str Obs.Schemas.metrics);
       ("uptime_s", J.Float (uptime_s t ~now));
-      ( "cumulative",
-        J.Obj
-          [
-            ( "counters",
-              J.Obj (List.map (fun (n, c) -> (n, J.Int c)) snap.Obs.counters)
-            );
-            ( "gauges",
-              J.Obj (List.map (fun (n, g) -> (n, J.Float g)) snap.Obs.gauges)
-            );
-            ( "histograms",
-              J.Obj
-                (List.map (fun (n, s) -> (n, hist_json s)) snap.Obs.histograms)
-            );
-          ] );
-      ( "windows",
-        if Obs.Window.enabled () then
-          J.List (List.map window_json window_horizons_s)
-        else J.List [] );
-      ("spans", spans_json t);
+      ("cumulative", Obs.metrics_json delta);
+      ("spans", spans_json t delta);
     ]
 
 let counter_value name = Obs.Counter.value (Obs.counter name)

@@ -8,7 +8,7 @@ type span = {
   children : span list;
 }
 
-type hist = {
+type hist = Obs.Histogram.snap = {
   bounds : float array;
   counts : int array;
   count : int;
@@ -113,32 +113,38 @@ let parse_hist path j =
     sum = as_float (path ^ ".sum") (field path kvs "sum");
   }
 
+(* the metric members shared by a trace and a metrics scrape *)
+let parse_metrics what kvs spans =
+  {
+    spans;
+    counters =
+      List.map
+        (fun (k, v) -> (k, as_int ("counters." ^ k) v))
+        (as_obj "counters" (field what kvs "counters"));
+    gauges =
+      List.map
+        (fun (k, v) -> (k, as_float ("gauges." ^ k) v))
+        (as_obj "gauges" (field what kvs "gauges"));
+    histograms =
+      List.map
+        (fun (k, v) -> (k, parse_hist ("histograms." ^ k) v))
+        (as_obj "histograms" (field what kvs "histograms"));
+  }
+
+let guard f = match f () with t -> Ok t | exception Bad m -> Error m
+
 let of_json j =
-  match
-    let kvs = as_obj "trace" j in
-    let schema = as_str "schema" (field "trace" kvs "schema") in
-    if not (String.equal schema Obs.Schemas.trace) then
-      bad "unsupported schema %S (want %S)" schema Obs.Schemas.trace;
-    {
-      spans =
-        List.map (parse_span "spans")
-          (as_list "spans" (field "trace" kvs "spans"));
-      counters =
-        List.map
-          (fun (k, v) -> (k, as_int ("counters." ^ k) v))
-          (as_obj "counters" (field "trace" kvs "counters"));
-      gauges =
-        List.map
-          (fun (k, v) -> (k, as_float ("gauges." ^ k) v))
-          (as_obj "gauges" (field "trace" kvs "gauges"));
-      histograms =
-        List.map
-          (fun (k, v) -> (k, parse_hist ("histograms." ^ k) v))
-          (as_obj "histograms" (field "trace" kvs "histograms"));
-    }
-  with
-  | t -> Ok t
-  | exception Bad m -> Error m
+  guard (fun () ->
+      let kvs = as_obj "trace" j in
+      let schema = as_str "schema" (field "trace" kvs "schema") in
+      if not (String.equal schema Obs.Schemas.trace) then
+        bad "unsupported schema %S (want %S)" schema Obs.Schemas.trace;
+      parse_metrics "trace" kvs
+        (List.map (parse_span "spans")
+           (as_list "spans" (field "trace" kvs "spans"))))
+
+let metrics_of_json j =
+  guard (fun () -> parse_metrics "metrics" (as_obj "metrics" j) [])
 
 let of_string s =
   match J.parse s with
@@ -201,28 +207,28 @@ let prune ~prefixes t =
       histograms = keep t.histograms;
     }
 
-(* Mirrors [Obs.Histogram.percentile] bucket for bucket, so a report
-   recomputed from a parsed trace agrees with the emitter's own p50/p90/
-   p99 fields. *)
-let hist_percentile (h : hist) q =
-  if h.count = 0 then 0.0
-  else begin
-    let nb = Array.length h.bounds in
-    let target = q *. float_of_int h.count in
-    let i = ref 0 and cum = ref 0.0 in
-    while !i < nb && !cum +. float_of_int h.counts.(!i) < target do
-      cum := !cum +. float_of_int h.counts.(!i);
-      incr i
-    done;
-    if !i >= nb then (if nb = 0 then 0.0 else h.bounds.(nb - 1))
-    else begin
-      let lower = if !i = 0 then 0.0 else h.bounds.(!i - 1) in
-      let upper = h.bounds.(!i) in
-      let in_bucket = float_of_int h.counts.(!i) in
-      let frac =
-        if in_bucket <= 0.0 then 1.0
-        else Float.min 1.0 ((target -. !cum) /. in_bucket)
-      in
-      lower +. (frac *. (upper -. lower))
-    end
-  end
+(* --- metric deltas --------------------------------------------------- *)
+
+(* bounds are fixed when a histogram is created, so differing bucket
+   counts mean the two readings come from different processes *)
+let sub_hist (b : hist) (a : hist) =
+  if Array.length b.counts <> Array.length a.counts then a
+  else
+    {
+      a with
+      counts = Array.mapi (fun i c -> c - b.counts.(i)) a.counts;
+      count = a.count - b.count;
+      sum = a.sum -. b.sum;
+    }
+
+let delta ~before after =
+  let diff sub prev =
+    List.map (fun (k, v) ->
+        match List.assoc_opt k prev with Some p -> (k, sub p v) | None -> (k, v))
+  in
+  {
+    spans = [];
+    counters = diff (fun p v -> v - p) before.counters after.counters;
+    gauges = after.gauges;
+    histograms = diff sub_hist before.histograms after.histograms;
+  }

@@ -14,9 +14,12 @@ type span = {
   children : span list;  (** document order = start order per parent *)
 }
 
-type hist = {
-  bounds : float array;  (** upper bounds, last is the overflow bucket *)
-  counts : int array;
+(** A histogram as the trace records it: the emitter's own snapshot
+    type, so [Obs.Histogram.percentile] applies unchanged ([nan] on an
+    empty histogram). *)
+type hist = Obs.Histogram.snap = {
+  bounds : float array;
+  counts : int array;  (** [Array.length bounds + 1]; last = overflow *)
   count : int;
   sum : float;
 }
@@ -42,6 +45,12 @@ val attr_str : span -> string -> string option
     can appear (JSON does not distinguish them). *)
 val of_json : Obs.Json.t -> (t, string) result
 
+(** [metrics_of_json j] parses an object carrying only the metric
+    members ([counters], [gauges], [histograms]) as written by
+    [Obs.metrics_json] — the [cumulative] block of a [vm1dp-metrics/2]
+    admin reply. The result has no spans. *)
+val metrics_of_json : Obs.Json.t -> (t, string) result
+
 val of_string : string -> (t, string) result
 
 (** [load path] reads and parses the file; errors (unreadable file, bad
@@ -65,6 +74,10 @@ val wall_ns : t -> int
     window solve it ran stays, reparented to wherever the wrapper sat. *)
 val prune : prefixes:string list -> t -> t
 
-(** [hist_percentile h q] interpolates the q-quantile from the bucket
-    counts exactly like [Obs.Histogram.percentile]; 0 when empty. *)
-val hist_percentile : hist -> float -> float
+(** [delta ~before after] is what happened between two cumulative
+    metric readings of one process: counters and histograms (bucket
+    counts, count, sum) are [after] minus [before] — a name absent from
+    [before] counts from zero — and gauges, being levels, are [after]'s.
+    Spans are dropped. This is how [vm1trace top --watch] derives
+    per-interval throughput and latency percentiles from two scrapes. *)
+val delta : before:t -> t -> t

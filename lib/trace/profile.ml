@@ -91,9 +91,66 @@ let to_json (t : Model.t) =
                    [
                      ("count", J.Int h.count);
                      ("sum", J.Float h.sum);
-                     ("p50", J.Float (Model.hist_percentile h 0.50));
-                     ("p90", J.Float (Model.hist_percentile h 0.90));
-                     ("p99", J.Float (Model.hist_percentile h 0.99));
+                     ("p50", J.Float (Obs.Histogram.percentile h 0.50));
+                     ("p90", J.Float (Obs.Histogram.percentile h 0.90));
+                     ("p99", J.Float (Obs.Histogram.percentile h 0.99));
                    ] ))
              t.histograms) );
     ]
+
+(* --- text tables ---------------------------------------------------- *)
+
+let ms ns = float_of_int ns /. 1e6
+
+(* Registered-but-never-touched metrics (instrumented code paths the run
+   did not reach) render as noise, so only live values are shown, and a
+   section with nothing live is omitted. *)
+let to_text ?(top = 0) (t : Model.t) =
+  let rows = rows t in
+  let rows =
+    match top with 0 -> rows | n -> List.filteri (fun i _ -> i < n) rows
+  in
+  let section l render =
+    match l with
+    | [] -> None
+    | _ ->
+      let b = Buffer.create 1024 in
+      render b l;
+      Some (Buffer.contents b)
+  in
+  let sections =
+    [
+      section rows (fun b rows ->
+          Printf.bprintf b "%-28s %8s %12s %12s %10s %10s %10s\n" "span"
+            "calls" "total ms" "self ms" "p50 ms" "p90 ms" "p99 ms";
+          List.iter
+            (fun r ->
+              Printf.bprintf b "%-28s %8d %12.3f %12.3f %10.3f %10.3f %10.3f\n"
+                r.name r.calls (ms r.total_ns) (ms r.self_ns) (ms r.p50_ns)
+                (ms r.p90_ns) (ms r.p99_ns))
+            rows);
+      section (List.filter (fun (_, v) -> v <> 0) t.counters) (fun b l ->
+          Printf.bprintf b "%-40s %12s\n" "counter" "value";
+          List.iter (fun (k, v) -> Printf.bprintf b "%-40s %12d\n" k v) l);
+      section (List.filter (fun (_, v) -> v <> 0.0) t.gauges) (fun b l ->
+          Printf.bprintf b "%-40s %12s\n" "gauge" "value";
+          List.iter (fun (k, v) -> Printf.bprintf b "%-40s %12g\n" k v) l);
+      section
+        (List.filter (fun (_, (h : Model.hist)) -> h.count > 0) t.histograms)
+        (fun b l ->
+          Printf.bprintf b "%-32s %8s %10s %10s %10s %10s\n" "histogram"
+            "count" "sum" "p50" "p90" "p99";
+          List.iter
+            (fun (k, (h : Model.hist)) ->
+              let p = Obs.Histogram.percentile h in
+              Printf.bprintf b "%-32s %8d %10g %10g %10g %10g\n" k h.count
+                h.sum (p 0.50) (p 0.90) (p 0.99))
+            l);
+    ]
+  in
+  String.concat "\n" (List.filter_map Fun.id sections)
+
+let snapshot_text snap =
+  match Model.of_json (Obs.trace_json snap) with
+  | Ok t -> to_text t
+  | Error m -> invalid_arg ("Profile.snapshot_text: " ^ m)

@@ -232,119 +232,95 @@ let test_snapshot_delta () =
       check_int "then sees new roots again" 1
         (List.length (Obs.snapshot_delta cur).Obs.spans))
 
-(* --- rolling windows --- *)
+(* --- scrape deltas --- *)
 
-let with_window f =
-  Obs.reset ();
-  Obs.set_enabled true;
-  Obs.Window.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Window.set_enabled false;
-      Obs.set_enabled false;
-      Obs.reset ())
-    f
+(* What [vm1trace top] reads from one admin scrape: the cumulative
+   metrics, through the trace's own encoder and Trace.Model's parser. *)
+let scrape () =
+  match Trace.Model.metrics_of_json (Obs.metrics_json (Obs.snapshot ())) with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "metrics do not parse back: %s" e
 
-let test_window_basic () =
-  with_window (fun () ->
-      let c = Obs.counter "test.win_c" in
-      let g = Obs.gauge "test.win_g" in
-      let h = Obs.histogram ~bounds:[| 1.0; 10.0 |] "test.win_h" in
-      Obs.Counter.add c 5;
-      Obs.Counter.incr c;
-      Obs.Gauge.set g 2.5;
+let test_scrape_delta () =
+  with_obs (fun () ->
+      let c = Obs.counter "test.scrape_c" in
+      Obs.Counter.add c 4;
+      Obs.Gauge.set (Obs.gauge "test.scrape_g") 1.0;
+      let before = scrape () in
+      Obs.Counter.add c 3;
+      Obs.Counter.add (Obs.counter "test.scrape_new") 2;
+      Obs.Gauge.set (Obs.gauge "test.scrape_g") 2.5;
+      let h = Obs.histogram ~bounds:[| 1.0; 10.0 |] "test.scrape_h" in
       Obs.Histogram.observe h 0.5;
       Obs.Histogram.observe h 50.0;
-      let full = Obs.Window.read ~horizon_ns:(Obs.Window.max_horizon_ns ()) () in
-      check_int "windowed counter = all recent bumps" 6
-        (List.assoc "test.win_c" full.Obs.Window.v_counters);
-      check_bool "windowed gauge = last write" true
-        (List.assoc "test.win_g" full.Obs.Window.v_gauges = Some 2.5);
-      let hs = List.assoc "test.win_h" full.Obs.Window.v_histograms in
-      check_int "windowed histogram count" 2 hs.Obs.Histogram.count;
-      check_bool "windowed histogram buckets" true
-        (hs.Obs.Histogram.counts = [| 1; 0; 1 |]);
-      (* horizons clamp to the ring capacity *)
-      check_bool "horizon clamped" true
-        (full.Obs.Window.v_horizon_ns <= Obs.Window.max_horizon_ns ());
-      (* reading far in the future expires every slot: the counters drop
-         to zero, the gauge to None, the histogram to empty — and the
-         windowed percentile hits the nan contract *)
-      let later =
-        Int64.add (Obs.now_ns ())
-          (Int64.mul 1000L (Obs.Window.max_horizon_ns ()))
-      in
-      let gone =
-        Obs.Window.read ~now_ns:later
-          ~horizon_ns:(Obs.Window.max_horizon_ns ()) ()
-      in
-      check_int "expired counter" 0
-        (List.assoc "test.win_c" gone.Obs.Window.v_counters);
-      check_bool "expired gauge" true
-        (List.assoc "test.win_g" gone.Obs.Window.v_gauges = None);
-      let ghs = List.assoc "test.win_h" gone.Obs.Window.v_histograms in
-      check_int "expired histogram" 0 ghs.Obs.Histogram.count;
-      check_bool "expired percentile is nan" true
-        (Float.is_nan (Obs.Histogram.percentile ghs 0.5)))
+      let d = Trace.Model.delta ~before (scrape ()) in
+      check_int "counter delta" 3 (List.assoc "test.scrape_c" d.counters);
+      check_int "a name new since [before] counts from zero" 2
+        (List.assoc "test.scrape_new" d.counters);
+      check_bool "gauges are levels, not differences" true
+        (List.assoc "test.scrape_g" d.gauges = 2.5);
+      let dh = List.assoc "test.scrape_h" d.histograms in
+      check_bool "bucket deltas" true (dh.counts = [| 1; 0; 1 |]);
+      check_int "count delta" 2 dh.count;
+      check_bool "spans dropped" true (List.is_empty d.spans);
+      (* nothing recorded between two scrapes: an empty interval, whose
+         percentiles are nan like any empty histogram *)
+      let again = scrape () in
+      let idle = Trace.Model.delta ~before:again again in
+      check_int "idle counter" 0 (List.assoc "test.scrape_c" idle.counters);
+      check_bool "idle percentile is nan" true
+        (Float.is_nan
+           (Obs.Histogram.percentile
+              (List.assoc "test.scrape_h" idle.histograms) 0.5)))
 
-let test_window_off_by_default () =
-  Obs.reset ();
-  Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_enabled false;
-      Obs.reset ())
-    (fun () ->
-      check_bool "windows off unless asked" false (Obs.Window.enabled ());
-      Obs.Counter.add (Obs.counter "test.win_off") 3;
-      let v = Obs.Window.read ~horizon_ns:(Obs.Window.max_horizon_ns ()) () in
-      check_int "bumps while off are cumulative-only" 0
-        (List.assoc "test.win_off" v.Obs.Window.v_counters);
-      check_int "cumulative still sees them" 3
-        (Obs.Counter.value (Obs.counter "test.win_off")))
-
-(* The windowed ≡ merged-deltas invariant (ARCHITECTURE.md): a window
-   covering the whole recording period equals the sequential reference
-   no matter how many domains recorded. The work fans out through the
-   sanctioned Exec pool (jobs 1/2/4), never raw Domain.spawn. *)
-let prop_window_merge =
-  QCheck2.Test.make ~name:"windowed = sequential reference across jobs 1/2/4"
+(* Two cumulative scrapes differ by exactly the batch recorded between
+   them, however many domains recorded it — the per-stripe counter cells
+   and the atomic histogram buckets merge on read. The work fans out
+   through the sanctioned Exec pool (jobs 1/2/4), never raw
+   Domain.spawn. *)
+let prop_scrape_delta =
+  QCheck2.Test.make ~name:"scrape delta = the batch between, jobs 1/2/4"
     ~count:20
-    QCheck2.Gen.(list_size (int_range 1 60) (int_range 1 50))
-    (fun xs ->
-      let expected_sum = List.fold_left ( + ) 0 xs in
-      let arr = Array.of_list xs in
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 20) (int_range 1 50))
+        (list_size (int_range 1 60) (int_range 1 50)))
+    (fun (pre, batch) ->
+      let bounds = [| 10.0; 30.0 |] in
+      let want_counts = Array.make 3 0 in
+      List.iter
+        (fun x ->
+          let i = if x <= 10 then 0 else if x <= 30 then 1 else 2 in
+          want_counts.(i) <- want_counts.(i) + 1)
+        batch;
+      let want_sum = List.fold_left ( + ) 0 batch in
       List.for_all
         (fun jobs ->
           Exec.set_jobs jobs;
           Obs.reset ();
           Obs.set_enabled true;
-          Obs.Window.set_enabled true;
           Fun.protect
             ~finally:(fun () ->
-              Obs.Window.set_enabled false;
               Obs.set_enabled false;
               Obs.reset ())
             (fun () ->
-              let c = Obs.counter "test.win_merge_c" in
-              let h =
-                Obs.histogram ~bounds:[| 10.0; 30.0 |] "test.win_merge_h"
+              let c = Obs.counter "test.scrape_merge_c" in
+              let h = Obs.histogram ~bounds "test.scrape_merge_h" in
+              let record xs =
+                let arr = Array.of_list xs in
+                Exec.parallel_for (Array.length arr) (fun i ->
+                    Obs.Counter.add c arr.(i);
+                    Obs.Histogram.observe h (float_of_int arr.(i)))
               in
-              Exec.parallel_for (Array.length arr) (fun i ->
-                  Obs.Counter.add c arr.(i);
-                  Obs.Histogram.observe h (float_of_int arr.(i)));
-              let v =
-                Obs.Window.read ~horizon_ns:(Obs.Window.max_horizon_ns ()) ()
-              in
-              let wc = List.assoc "test.win_merge_c" v.Obs.Window.v_counters in
-              let wh =
-                List.assoc "test.win_merge_h" v.Obs.Window.v_histograms
-              in
-              wc = expected_sum
-              && wc = Obs.Counter.value c
-              && wh.Obs.Histogram.count = Array.length arr
-              && wh.Obs.Histogram.counts
-                 = (Obs.Histogram.snap h).Obs.Histogram.counts))
+              record pre;
+              let before = scrape () in
+              record batch;
+              let d = Trace.Model.delta ~before (scrape ()) in
+              let dh = List.assoc "test.scrape_merge_h" d.histograms in
+              List.assoc "test.scrape_merge_c" d.counters = want_sum
+              && dh.count = List.length batch
+              && dh.counts = want_counts
+              && dh.sum = float_of_int want_sum))
         [ 1; 2; 4 ])
 
 (* --- bounded ring --- *)
@@ -380,12 +356,11 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "snapshot delta" `Quick test_snapshot_delta;
         ] );
-      ( "windows",
+      ( "scrape delta",
         [
-          Alcotest.test_case "record and read" `Quick test_window_basic;
-          Alcotest.test_case "off by default" `Quick
-            test_window_off_by_default;
-          QCheck_alcotest.to_alcotest prop_window_merge;
+          Alcotest.test_case "interval between two scrapes" `Quick
+            test_scrape_delta;
+          QCheck_alcotest.to_alcotest prop_scrape_delta;
         ] );
       ( "ring",
         [ Alcotest.test_case "bounded fifo" `Quick test_ring ] );

@@ -376,7 +376,7 @@ let test_traced_job_carries_trace () =
 (* --- telemetry --- *)
 
 (* The scrape-does-not-perturb invariant: serving a stream with full
-   telemetry on (observability + windows + a metrics/health scrape after
+   telemetry on (observability + a metrics/health scrape after
    every reply) must produce result payloads byte-identical to a plain
    run with everything off. The byte-identity contract quantifies over
    the "result" member — latency fields are wall clock. *)
@@ -402,7 +402,6 @@ let test_scrape_does_not_perturb () =
   let _, plain = serve_lines telemetry_stream in
   Obs.reset ();
   Obs.set_enabled true;
-  Obs.Window.set_enabled true;
   let tel = Serve.Telemetry.create () in
   let scrapes = ref [] in
   let _, scraped =
@@ -414,7 +413,6 @@ let test_scrape_does_not_perturb () =
           :: !scrapes)
       telemetry_stream
   in
-  Obs.Window.set_enabled false;
   Obs.set_enabled false;
   Obs.reset ();
   checkb "replies byte-identical with scraping on" true

@@ -144,9 +144,25 @@ let run_admin vm1d jobs ~spath ~apath ~jlog =
   (match J.member "serve.jobs" (member_exn "metrics.cumulative" "counters" cum) with
   | Some (J.Int n) when n >= 1 -> ()
   | _ -> die "telemetry-smoke: metrics counted no serve.jobs after a reply");
-  (match member_exn "metrics" "windows" m with
-  | J.List (_ :: _) -> ()
-  | _ -> die "telemetry-smoke: metrics carries no windowed views");
+  (* the job-latency histogram carries its buckets, which is what a
+     client differencing two scrapes needs for interval percentiles *)
+  let lat =
+    member_exn "metrics.cumulative.histograms" "serve.job_latency_ms"
+      (member_exn "metrics.cumulative" "histograms" cum)
+  in
+  let ints what = function
+    | J.List l ->
+      List.map (function J.Int i -> i | _ -> die "telemetry-smoke: %s not ints" what) l
+    | _ -> die "telemetry-smoke: %s is not a list" what
+  in
+  let bounds = member_exn "serve.job_latency_ms" "bounds" lat
+  and counts = ints "counts" (member_exn "serve.job_latency_ms" "counts" lat) in
+  (match (bounds, member_exn "serve.job_latency_ms" "count" lat) with
+  | J.List b, J.Int n
+    when List.length counts = List.length b + 1
+         && List.fold_left ( + ) 0 counts = n -> ()
+  | _ ->
+    die "telemetry-smoke: serve.job_latency_ms buckets do not sum to its count");
   let h = scrape "health" in
   check_schema_roundtrip "health" h Obs.Schemas.health;
   (match member_exn "health" "ready" h with

@@ -98,6 +98,29 @@ let test_golden_speedscope () =
     (read_file "golden_speedscope.json")
     (Obs.Json.to_string (Trace.Export.speedscope (mini ())) ^ "\n")
 
+(* An empty histogram has no quantiles: the report must say null, as
+   the trace itself does, not a fake 0. *)
+let test_report_empty_histogram () =
+  let trace =
+    {|{"schema":"vm1dp-trace/1","spans":[],"counters":{},"gauges":{},|}
+    ^ {|"histograms":{"h":{"bounds":[1.0,2.0],"counts":[0,0,0],"count":0,|}
+    ^ {|"sum":0.0,"p50":null,"p90":null,"p99":null}}}|}
+  in
+  match Trace.Model.of_string trace with
+  | Error m -> Alcotest.fail m
+  | Ok t ->
+    let report = Trace.Profile.to_json t in
+    let h =
+      Option.bind (Obs.Json.member "histograms" report) (Obs.Json.member "h")
+    in
+    List.iter
+      (fun q ->
+        Alcotest.(check string) q "null"
+          (match Option.bind h (Obs.Json.member q) with
+          | Some v -> Obs.Json.to_string v
+          | None -> "missing"))
+      [ "p50"; "p90"; "p99" ]
+
 (* --- critical path -------------------------------------------------- *)
 
 let test_critical_path_mini () =
@@ -321,6 +344,8 @@ let () =
         [
           Alcotest.test_case "aggregate" `Quick test_profile;
           Alcotest.test_case "golden report" `Quick test_golden_report;
+          Alcotest.test_case "empty histogram percentiles" `Quick
+            test_report_empty_histogram;
         ] );
       ( "export",
         [

@@ -1,8 +1,11 @@
 (* Tier-1 smoke check on a real emitted trace: run as
-   [test_trace_smoke.exe trace.json] after a [vm1opt --trace] run (see
-   the rule in test/dune). Validates that the file is well-formed JSON
-   and contains the observability the perf workflow relies on: per-batch
-   solve spans, SCP move counts, and the router overflow counters. *)
+   [test_trace_smoke.exe trace.json [stdout.txt]] after a
+   [vm1opt --trace trace.json --metrics > stdout.txt] run (see the rule
+   in test/dune). Validates that the file is well-formed JSON and
+   contains the observability the perf workflow relies on: per-batch
+   solve spans, SCP move counts, and the router overflow counters. With
+   the captured stdout, also checks that the [--metrics] tables are
+   exactly [vm1trace report]'s tables over the written trace. *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
@@ -61,4 +64,15 @@ let () =
     if Obs.Json.member "route.overflow_edges" g = None then
       fail "%s: gauge route.overflow_edges missing" path
   | None -> fail "%s: no gauges object" path);
+  (match Sys.argv with
+  | [| _; _; stdout_path |] ->
+    let tables =
+      match Trace.Model.of_json j with
+      | Ok t -> Trace.Profile.to_text t
+      | Error e -> fail "%s: %s" path e
+    in
+    if not (String.ends_with ~suffix:tables (read_file stdout_path)) then
+      fail "%s: --metrics tables differ from the report over %s" stdout_path
+        path
+  | _ -> ());
   print_endline "trace smoke check OK"
