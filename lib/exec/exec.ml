@@ -1,9 +1,6 @@
-module Deque = Deque
-
 (* Metric handles are created once: bumps happen on worker domains and a
    per-call registry lookup would contend on the registry lock. *)
 let c_tasks = Obs.counter "exec.tasks"
-let c_steals = Obs.counter "exec.steals"
 let c_deadline = Obs.counter "exec.deadline_hits"
 let c_spawns = Obs.counter "exec.domain_spawns"
 let g_pool_size = Obs.gauge "exec.pool_size"
@@ -57,20 +54,19 @@ let run_task (Task c) =
 
 (* --- the pool --- *)
 
+(* One FIFO shared by every worker and every awaiting caller. Tasks are
+   coarse (daemon jobs, window solves, a handful of racers), so a single
+   lock is never the bottleneck; submitters bound their own fan-out. *)
 type pool = {
   n_workers : int;
-  deques : task Deque.t array;  (* one per worker, stealable by all *)
-  inj : task Queue.t;           (* external submissions; guarded by mu *)
+  queue : task Queue.t;  (* guarded by mu *)
   mu : Mutex.t;
-  work_cond : Condition.t;      (* "there may be work" / shutdown *)
-  space_cond : Condition.t;     (* the bounded injector has space *)
+  work_cond : Condition.t;  (* "there may be work" / shutdown *)
   mutable q_max : int;
   mutable stop : bool;
   mutable domains : unit Domain.t list;
 }
 
-let queue_capacity = Atomic.make 4096
-let set_queue_capacity n = Atomic.set queue_capacity (max 1 n)
 let requested_jobs = Atomic.make 0 (* 0 = auto *)
 let auto_jobs = lazy (Domain.recommended_domain_count ())
 
@@ -82,89 +78,27 @@ let pool_mu = Mutex.create ()
 let pool : pool option ref = ref None
 let exit_hook = ref false
 
-(* Worker identity of the calling domain, if any. *)
-let self_key : (pool * int) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let has_work p =
-  Queue.length p.inj > 0 || Array.exists (fun d -> Deque.size d > 0) p.deques
-
-(* Move a small batch from the injector to [deque] (when the caller is
-   a worker) so that other workers can steal their share; run the first
-   task ourselves. *)
-let take_injector p ~deque =
+let rec worker_loop p =
   Mutex.lock p.mu;
-  if Queue.length p.inj = 0 then begin
-    Mutex.unlock p.mu;
-    None
-  end
-  else begin
-    let first = Queue.pop p.inj in
-    (match deque with
-    | Some d ->
-      let extra = min 3 (Queue.length p.inj) in
-      for _ = 1 to extra do
-        Deque.push d (Queue.pop p.inj)
-      done;
-      if extra > 0 then Condition.broadcast p.work_cond
-    | None -> ());
-    Condition.broadcast p.space_cond;
-    Mutex.unlock p.mu;
-    Some first
-  end
-
-let steal_cursor = Atomic.make 0
-
-let try_steal p ~self =
-  let n = Array.length p.deques in
-  let start = Atomic.fetch_and_add steal_cursor 1 in
-  let rec go k =
-    if k >= n then None
-    else begin
-      let ix = (start + k) mod n in
-      if Some ix = self then go (k + 1)
-      else
-        match Deque.steal p.deques.(ix) with
-        | Some _ as t ->
-          Obs.Counter.incr c_steals;
-          t
-        | None -> go (k + 1)
-    end
-  in
-  go 0
-
-let rec worker_loop p ix =
-  match Deque.pop p.deques.(ix) with
+  while Queue.is_empty p.queue && not p.stop do
+    Condition.wait p.work_cond p.mu
+  done;
+  (* on stop, queued tasks stay put: their awaiters run them inline *)
+  let next = if p.stop then None else Queue.take_opt p.queue in
+  Mutex.unlock p.mu;
+  match next with
   | Some t ->
     run_task t;
-    worker_loop p ix
-  | None -> (
-    match take_injector p ~deque:(Some p.deques.(ix)) with
-    | Some t ->
-      run_task t;
-      worker_loop p ix
-    | None -> (
-      match try_steal p ~self:(Some ix) with
-      | Some t ->
-        run_task t;
-        worker_loop p ix
-      | None ->
-        Mutex.lock p.mu;
-        if (not p.stop) && not (has_work p) then
-          Condition.wait p.work_cond p.mu;
-        let stop = p.stop in
-        Mutex.unlock p.mu;
-        if not stop then worker_loop p ix))
+    worker_loop p
+  | None -> ()
 
 let make_pool n =
   let p =
     {
       n_workers = n;
-      deques = Array.init n (fun _ -> Deque.create ());
-      inj = Queue.create ();
+      queue = Queue.create ();
       mu = Mutex.create ();
       work_cond = Condition.create ();
-      space_cond = Condition.create ();
       q_max = 0;
       stop = false;
       domains = [];
@@ -172,18 +106,15 @@ let make_pool n =
   in
   Obs.Gauge.set g_pool_size (float_of_int (n + 1));
   p.domains <-
-    List.init n (fun ix ->
+    List.init n (fun _ ->
         Obs.Counter.incr c_spawns;
-        Domain.spawn (fun () ->
-            Domain.DLS.set self_key (Some (p, ix));
-            worker_loop p ix));
+        Domain.spawn (fun () -> worker_loop p));
   p
 
 let teardown p =
   Mutex.lock p.mu;
   p.stop <- true;
   Condition.broadcast p.work_cond;
-  Condition.broadcast p.space_cond;
   Mutex.unlock p.mu;
   List.iter Domain.join p.domains
 
@@ -194,36 +125,29 @@ let shutdown () =
   Mutex.unlock pool_mu;
   match p with Some p -> teardown p | None -> ()
 
-(* Only called with [jobs () > 1], so the pool always has >= 1 worker. *)
+(* Only called with [jobs () > 1]; [set_jobs] retires a pool of the
+   wrong size, so a live pool always matches [jobs ()]. *)
 let get_pool () =
   Mutex.lock pool_mu;
-  let target = jobs () - 1 in
   let p =
     match !pool with
-    | Some p when p.n_workers = target -> p
-    | other ->
-      (match other with
-      | Some stale ->
-        pool := None;
-        Mutex.unlock pool_mu;
-        teardown stale;
-        Mutex.lock pool_mu
-      | None -> ());
+    | Some p -> p
+    | None ->
       if not !exit_hook then begin
         exit_hook := true;
         at_exit shutdown
       end;
-      let np = make_pool target in
-      pool := Some np;
-      np
+      let p = make_pool (jobs () - 1) in
+      pool := Some p;
+      p
   in
   Mutex.unlock pool_mu;
   p
 
 let set_jobs n =
   let n = max 1 n in
-  Atomic.set requested_jobs n;
   Mutex.lock pool_mu;
+  Atomic.set requested_jobs n;
   let stale =
     match !pool with
     | Some p when p.n_workers <> n - 1 ->
@@ -237,30 +161,18 @@ let set_jobs n =
 (* --- submission --- *)
 
 let enqueue p t =
-  match Domain.DLS.get self_key with
-  | Some (wp, ix) when wp == p ->
-    (* nested submission from a worker: its own deque, no bound needed
-       (the worker drains it itself; thieves help) *)
-    Deque.push p.deques.(ix) t;
-    Mutex.lock p.mu;
-    Condition.broadcast p.work_cond;
-    Mutex.unlock p.mu
-  | _ ->
-    Mutex.lock p.mu;
-    while Queue.length p.inj >= Atomic.get queue_capacity && not p.stop do
-      Condition.wait p.space_cond p.mu
-    done;
-    if not p.stop then begin
-      Queue.push t p.inj;
-      let len = Queue.length p.inj in
-      if len > p.q_max then begin
-        p.q_max <- len;
-        Obs.Gauge.set g_queue_max (float_of_int len)
-      end;
-      Condition.signal p.work_cond
+  Mutex.lock p.mu;
+  (* on stop: leave the task unenqueued; its awaiter runs it inline *)
+  if not p.stop then begin
+    Queue.push t p.queue;
+    let len = Queue.length p.queue in
+    if len > p.q_max then begin
+      p.q_max <- len;
+      Obs.Gauge.set g_queue_max (float_of_int len)
     end;
-    (* on stop: leave the task unenqueued; its awaiter runs it inline *)
-    Mutex.unlock p.mu
+    Condition.signal p.work_cond
+  end;
+  Mutex.unlock p.mu
 
 (* --- futures --- *)
 
@@ -287,7 +199,7 @@ let run_fallback (c : _ cell) =
       Mutex.unlock c.mu;
       raise e)
 
-(* Help with one task from anywhere in the pool; false when idle. *)
+(* Run one queued task on the caller's domain; false when idle. *)
 let help_once () =
   Mutex.lock pool_mu;
   let p = !pool in
@@ -295,26 +207,14 @@ let help_once () =
   match p with
   | None -> false
   | Some p -> (
-    let own, self =
-      match Domain.DLS.get self_key with
-      | Some (wp, ix) when wp == p -> (Deque.pop p.deques.(ix), Some ix)
-      | _ -> (None, None)
-    in
-    match own with
+    Mutex.lock p.mu;
+    let t = Queue.take_opt p.queue in
+    Mutex.unlock p.mu;
+    match t with
     | Some t ->
       run_task t;
       true
-    | None -> (
-      match take_injector p ~deque:None with
-      | Some t ->
-        run_task t;
-        true
-      | None -> (
-        match try_steal p ~self with
-        | Some t ->
-          run_task t;
-          true
-        | None -> false)))
+    | None -> false)
 
 let rec await_cell c =
   match Atomic.get c.state with
@@ -347,40 +247,19 @@ let rec await_cell c =
     end
 
 module Future = struct
-  type _ t =
-    | Pure : 'a -> 'a t
-    | Cell : 'a cell -> 'a t
-    | Map : ('a -> 'b) * 'a t -> 'b t
-    | All : 'a t list -> 'a list t
+  type 'a t = Pure of 'a | Cell of 'a cell
 
   let return v = Pure v
-  let map f t = Map (f, t)
-  let all ts = All ts
+  let await = function Pure v -> v | Cell c -> await_cell c
 
-  let rec await : type a. a t -> a = function
-    | Pure v -> v
-    | Cell c -> await_cell c
-    | Map (f, t) -> f (await t)
-    | All ts -> List.map (fun t -> await t) ts
-
-  let rec poll : type a. a t -> a option = function
-    | Pure v -> Some v
-    | Cell c -> (
-      match Atomic.get c.state with Done v -> Some v | _ -> None)
-    | Map (f, t) -> Option.map f (poll t)
-    | All ts ->
-      let vs = List.map (fun t -> poll t) ts in
-      if List.for_all Option.is_some vs then Some (List.map Option.get vs)
-      else None
-
-  let cancel : type a. a t -> bool = function
+  let cancel = function
     | Cell c ->
       if Atomic.compare_and_set c.claimed false true then begin
         resolve c Skipped;
         true
       end
       else false
-    | Pure _ | Map _ | All _ -> false
+    | Pure _ -> false
 end
 
 let submit ?deadline_ns thunk =

@@ -1,5 +1,5 @@
-(** Work-stealing domain-pool scheduler: the execution substrate under
-    every parallel hot loop of the flow (DistOpt window batches, the
+(** Domain-pool scheduler: the execution substrate under every
+    parallel hot loop of the flow (DistOpt window batches, the
     experiment matrix, the daemon's job pool, the benchmark harness).
 
     Design constraints, in order:
@@ -19,20 +19,18 @@
       started, or that was cancelled is re-run sequentially by the
       awaiting caller: [Future.await] never crashes the pool and never
       hangs a join.
-    - {b Work stealing, bounded injection.} Each worker owns a
-      Chase–Lev deque ({!Deque}); idle workers steal. External
-      submissions go through a bounded queue — a full queue blocks the
-      submitter (backpressure) instead of growing without bound.
+    - {b One shared FIFO.} Every submission, nested ones included,
+      goes to a single lock-guarded queue that all workers and all
+      awaiting callers take from. Tasks are coarse (daemon jobs, window
+      solves, a few racers), so the lock is never hot. The queue is
+      unbounded: each submitter bounds its own fan-out (the daemon's
+      in-flight cap, one task per [parallel_for] chunk, one per racer).
 
     Instrumented through [lib/obs] (all no-ops until [Obs.set_enabled]):
-    counters [exec.tasks], [exec.steals], [exec.deadline_hits],
-    [exec.domain_spawns]; gauges [exec.pool_size], [exec.queue_depth_max];
-    span [exec.task] around each pool-executed task (a root span of its
-    worker domain, see the span-forest notes in ARCHITECTURE.md). *)
-
-(** The work-stealing deque the pool is built on, re-exported for
-    direct use and for the deque unit/property tests. *)
-module Deque : module type of Deque
+    counters [exec.tasks], [exec.deadline_hits], [exec.domain_spawns];
+    gauges [exec.pool_size], [exec.queue_depth_max]; span [exec.task]
+    around each pool-executed task (a root span of its worker domain,
+    see the span-forest notes in ARCHITECTURE.md). *)
 
 (** {1 Pool configuration} *)
 
@@ -48,10 +46,6 @@ val jobs : unit -> int
     call respawns at the new size. *)
 val set_jobs : int -> unit
 
-(** [set_queue_capacity n] bounds the external submission queue
-    (default 4096, clamped to >= 1); submitters block while it is full. *)
-val set_queue_capacity : int -> unit
-
 (** [shutdown ()] stops and joins the worker domains, if any. Pending
     pool tasks are not lost: their awaiters run them inline. Installed
     via [at_exit] automatically; call it directly to force a respawn or
@@ -61,7 +55,7 @@ val shutdown : unit -> unit
 (** {1 Futures} *)
 
 module Future : sig
-  (** A handle on a submitted task (or a pure/derived value). *)
+  (** A handle on a submitted task or an already-completed value. *)
   type 'a t
 
   (** [await t] returns the task's value, claiming and running it
@@ -72,23 +66,9 @@ module Future : sig
       that sequential run propagates. *)
   val await : 'a t -> 'a
 
-  (** [poll t] is [Some v] once the value is available, without
-      blocking or helping. *)
-  val poll : 'a t -> 'a option
-
   (** [return v] is an already-completed future holding [v]; [await]
-      and [poll] yield it immediately. *)
+      yields it immediately. *)
   val return : 'a -> 'a t
-
-  (** [map f t] is a future for [f] applied to [t]'s value. [f] runs
-      in the caller on every [await] (or successful [poll]) — it is not
-      memoised, so it should be cheap and pure. *)
-  val map : ('a -> 'b) -> 'a t -> 'b t
-
-  (** [all ts] is a future for the values of [ts], in order. Awaiting
-      it awaits each in turn (helping inline as usual); there is no
-      early exit on failure. *)
-  val all : 'a t list -> 'a list t
 
   (** [cancel t] reclaims a submitted task from the pool: [true] when
       it won (no worker will run it; [await] computes it inline),

@@ -1,61 +1,8 @@
-(* lib/exec: the work-stealing domain pool. Concurrency is stressed
-   directly (deque owner vs thieves), and the scheduler's two contracts
-   are checked end to end: results are bit-identical across pool sizes,
-   and after warm-up the pool never spawns another domain. *)
-
-let sorted_range n = List.init n Fun.id
-
-(* One owner pushing/popping at the bottom, N thief domains stealing at
-   the top: every pushed value must come out exactly once, across any
-   interleaving. *)
-let prop_deque_stress =
-  QCheck2.Test.make ~name:"deque: owner + thieves, nothing lost or duplicated"
-    ~count:8
-    QCheck2.Gen.(pair (int_range 100 2000) (int_range 1 3))
-    (fun (n, thieves) ->
-      let d = Exec.Deque.create () in
-      let stop = Atomic.make false in
-      let doms =
-        Array.init thieves (fun _ ->
-            Domain.spawn (fun () ->
-                let acc = ref [] in
-                while not (Atomic.get stop) do
-                  (match Exec.Deque.steal d with
-                  | Some v -> acc := v :: !acc
-                  | None -> Domain.cpu_relax ())
-                done;
-                let rec drain () =
-                  match Exec.Deque.steal d with
-                  | Some v ->
-                    acc := v :: !acc;
-                    drain ()
-                  | None -> ()
-                in
-                drain ();
-                !acc))
-      in
-      let popped = ref [] in
-      for i = 0 to n - 1 do
-        Exec.Deque.push d i;
-        if i land 3 = 0 then
-          match Exec.Deque.pop d with
-          | Some v -> popped := v :: !popped
-          | None -> ()
-      done;
-      let rec drain () =
-        match Exec.Deque.pop d with
-        | Some v ->
-          popped := v :: !popped;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      Atomic.set stop true;
-      let stolen = Array.map Domain.join doms in
-      let all =
-        List.concat (!popped :: Array.to_list stolen) |> List.sort Int.compare
-      in
-      List.length all = n && all = sorted_range n)
+(* lib/exec: the shared-FIFO domain pool. The scheduler's contracts are
+   checked end to end: results are bit-identical across pool sizes
+   (nested submissions from pool tasks included), failed or expired
+   tasks fall back to the awaiter, shutdown loses no pending task, and
+   after warm-up the pool never spawns another domain. *)
 
 (* The determinism contract of the data-parallel loops: same bytes for
    every pool size and chunking. *)
@@ -151,13 +98,42 @@ let test_fallback () =
 
 let test_future_combinators () =
   Exec.set_jobs 2;
-  let f = Exec.Future.map (fun x -> x * 2) (Exec.submit (fun () -> 21)) in
-  Alcotest.(check int) "map" 42 (Exec.Future.await f);
-  let l = Exec.Future.all (List.init 10 (fun i -> Exec.submit (fun () -> i))) in
-  Alcotest.(check (list int)) "all" (sorted_range 10) (Exec.Future.await l);
+  Alcotest.(check int) "return" 42 (Exec.Future.await (Exec.Future.return 42));
+  Alcotest.(check bool) "return cannot be cancelled" false
+    (Exec.Future.cancel (Exec.Future.return 0));
   let c = Exec.submit (fun () -> 7) in
   ignore (Exec.Future.cancel c);
   Alcotest.(check int) "cancelled still awaits" 7 (Exec.Future.await c)
+
+(* The daemon-job shape: each pool task races three thunks and runs a
+   parallel_for of its own, all submitted from inside a pool task. *)
+let test_nested_submission () =
+  let job i =
+    let raced = Exec.race [ (fun () -> i); (fun () -> i * i); (fun () -> -i) ] in
+    let out = Array.make 8 0 in
+    Exec.parallel_for 8 (fun k -> out.(k) <- (i * 8) + k);
+    (raced, Array.to_list out)
+  in
+  let xs = Array.init 12 Fun.id in
+  Exec.set_jobs 1;
+  let expect = Exec.parallel_map ~chunk:1 job xs in
+  List.iter
+    (fun j ->
+      Exec.set_jobs j;
+      let got = Exec.parallel_map ~chunk:1 job xs in
+      Alcotest.(check bool) (Printf.sprintf "jobs %d = jobs 1" j) true
+        (got = expect))
+    [ 2; 4 ]
+
+(* Shutting the pool down under un-awaited futures loses none of them:
+   whatever the workers did not finish, the awaiter runs inline. *)
+let test_shutdown_pending () =
+  Exec.set_jobs 2;
+  let futs = List.init 50 (fun i -> Exec.submit (fun () -> i * 3)) in
+  Exec.shutdown ();
+  Alcotest.(check (list int)) "every await returns its value"
+    (List.init 50 (fun i -> i * 3))
+    (List.map Exec.Future.await futs)
 
 (* The warm-up spawns exactly jobs-1 domains; no parallel call after
    that may spawn another (the satellite fix for spawn-per-batch). *)
@@ -186,8 +162,6 @@ let test_no_mid_run_spawn () =
 let () =
   Alcotest.run "exec"
     [
-      ( "deque",
-        List.map QCheck_alcotest.to_alcotest [ prop_deque_stress ] );
       ( "loops",
         List.map QCheck_alcotest.to_alcotest [ prop_parallel_map_identical ] );
       ( "determinism",
@@ -203,6 +177,10 @@ let () =
             test_fallback;
           Alcotest.test_case "future combinators" `Quick
             test_future_combinators;
+          Alcotest.test_case "nested submission from pool tasks" `Quick
+            test_nested_submission;
+          Alcotest.test_case "shutdown keeps pending tasks" `Quick
+            test_shutdown_pending;
           Alcotest.test_case "no mid-run domain spawns" `Quick
             test_no_mid_run_spawn;
         ] );
