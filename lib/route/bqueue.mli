@@ -5,9 +5,8 @@
     surcharge + congestion penalty), so consecutive pop priorities move
     through a narrow, mostly increasing band. A bucket per priority with
     a cursor that only scans forward makes push and pop O(1) amortised —
-    no comparisons, no sifting — which is why it replaces {!Heap} on the
-    router hot path. {!Heap} remains for callers needing arbitrary,
-    widely-spread priorities.
+    no comparisons, no sifting — which is why the router's A* uses it
+    instead of a binary heap.
 
     The structure is exact, not merely monotone: a push below the last
     popped priority moves the cursor back, so pops always return the

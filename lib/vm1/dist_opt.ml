@@ -40,9 +40,11 @@ let h_window_moves = Obs.histogram "distopt.window_moves"
 let g_minor_words = Obs.gauge "distopt.minor_words_per_window"
 
 (* Per-window attribution span: identifies the window (grid indices,
-   site/row origin, DBU bounding box) and carries the before/after QoR
-   counts [vm1trace attribute] joins on. The QoR recounts only run while
-   instrumentation is on; results are unchanged either way. *)
+   site/row origin, DBU bounding box), sizes it (movable cells, total
+   candidates, ripple plans attempted: what a slow window's time goes
+   to) and carries the before/after QoR counts [vm1trace attribute]
+   joins on. The QoR recounts only run while instrumentation is on;
+   results are unchanged either way. *)
 let window_attrs (w : Window.t) problem =
   if not (Obs.enabled ()) then []
   else begin
@@ -57,6 +59,12 @@ let window_attrs (w : Window.t) problem =
       ("y0_dbu", `Int (w.Window.row_lo * rh));
       ("x1_dbu", `Int ((w.Window.site_lo + w.Window.bw) * sw));
       ("y1_dbu", `Int ((w.Window.row_lo + w.Window.bh) * rh));
+      ("cells", `Int (Array.length problem.Wproblem.cells));
+      ( "cands",
+        `Int
+          (Array.fold_left
+             (fun acc (c : Wproblem.cell) -> acc + Array.length c.cands)
+             0 problem.Wproblem.cells) );
     ]
   end
 
@@ -70,6 +78,7 @@ let with_window_span (w : Window.t) problem f =
       | Some q0 ->
         let q1 = Wproblem.qor problem in
         Obs.add_attr "moves" (`Int s.Scp_solver.moves);
+        Obs.add_attr "shoves" (`Int s.Scp_solver.shoves);
         Obs.add_attr "obj0" (`Float s.Scp_solver.objective_before);
         Obs.add_attr "obj1" (`Float s.Scp_solver.objective_after);
         Obs.add_attr "hpwl0_dbu" (`Int q0.Wproblem.hpwl_dbu);

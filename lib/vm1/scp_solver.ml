@@ -20,6 +20,7 @@ type stats = {
   objective_after : float;
   moves : int;
   passes : int;
+  shoves : int;
 }
 
 let exact_limit = 1_000_000
@@ -35,6 +36,7 @@ let greedy ?(max_passes = 8) (t : Wproblem.t) =
   let before = Wproblem.objective t in
   let moves = ref 0 in
   let passes = ref 0 in
+  let shoves = ref 0 in
   let improved = ref true in
   let n = Array.length t.cells in
   while !improved && !passes < max_passes do
@@ -63,6 +65,7 @@ let greedy ?(max_passes = 8) (t : Wproblem.t) =
             (* occupied: worth a ripple move only when it buys pair gain *)
             Wproblem.cell_pair_gain_at t ~cell ~cand > cur_gain +. 1e-9
           then begin
+            incr shoves;
             match Wproblem.shove_plan t ~cell ~cand with
             | Some plan ->
               let d = Wproblem.plan_delta t plan in
@@ -91,6 +94,7 @@ let greedy ?(max_passes = 8) (t : Wproblem.t) =
     objective_after = Wproblem.objective t;
     moves = !moves;
     passes = !passes;
+    shoves = !shoves;
   }
 
 let exact (t : Wproblem.t) =
@@ -149,6 +153,7 @@ let exact (t : Wproblem.t) =
     objective_after = Wproblem.objective t;
     moves;
     passes = 1;
+    shoves = 0;
   }
 
 (* Simulated annealing on top of the greedy solution (the paper's
@@ -202,6 +207,7 @@ let anneal ?max_passes (t : Wproblem.t) =
       objective_after = polish.objective_after;
       moves = g_stats.moves + !moves + polish.moves;
       passes = g_stats.passes + 1 + polish.passes;
+      shoves = g_stats.shoves + polish.shoves;
     }
   end
 

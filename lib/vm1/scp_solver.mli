@@ -42,6 +42,10 @@ type stats = {
                                  their input candidate *)
   passes : int;              (** coordinate-descent passes ([`Greedy]); 1
                                  for [`Exact] *)
+  shoves : int;              (** ripple plans attempted
+                                 ({!Wproblem.shove_plan} calls); 0 for
+                                 [`Exact]. [`Portfolio] reports the
+                                 winning racer's count *)
 }
 
 (** [solve ?mode ?max_passes t] optimises the window problem in place (the

@@ -29,6 +29,12 @@ type report = {
   runtime_s : float;
 }
 
+(* Metric handles are created once, not looked up in the registry on
+   every inner iteration *)
+let c_iterations = Obs.counter "vm1opt.iterations"
+let g_initial_objective = Obs.gauge "vm1opt.initial_objective"
+let g_final_objective = Obs.gauge "vm1opt.final_objective"
+
 let run ?(config = default_config) (params : Params.t)
     (p : Place.Placement.t) =
   Obs.with_span "vm1opt.run" (fun () ->
@@ -53,7 +59,7 @@ let run ?(config = default_config) (params : Params.t)
       let inner = ref 0 in
       while !delta >= params.Params.theta && !inner < config.max_inner_iters do
         incr inner;
-        Obs.Counter.incr (Obs.counter "vm1opt.iterations");
+        Obs.Counter.incr c_iterations;
         let pre_obj = !obj in
         (* perturbation pass: moves allowed, no flipping *)
         let s1 =
@@ -109,8 +115,8 @@ let run ?(config = default_config) (params : Params.t)
       Obs.add_attr "inner_iters" (`Int !inner)))
     config.sequence;
   let final_objective = Objective.value params p in
-  Obs.Gauge.set (Obs.gauge "vm1opt.initial_objective") initial_objective;
-  Obs.Gauge.set (Obs.gauge "vm1opt.final_objective") final_objective;
+  Obs.Gauge.set g_initial_objective initial_objective;
+  Obs.Gauge.set g_final_objective final_objective;
   {
     initial_objective;
     final_objective;

@@ -41,6 +41,17 @@ type t = {
   occ : Bytes.t;        (* per-site movable-cell count + fixed marks *)
   fixed_occ : Bytes.t;  (* fixed blockage only *)
   cand_index : (int, int) Hashtbl.t array;  (* encoded candidate -> index *)
+  mutable by_row : row_members option;  (* built on first shove_plan *)
+}
+
+(* Movable cells bucketed by their current window row. [members.(r)]
+   holds the first [len.(r)] entries of row [r] in the order site
+   ascending, then cell index descending: exactly what a stable sort by
+   site of a descending-index scan produces, so ripple plans read from
+   it match a whole-window scan move for move. *)
+and row_members = {
+  members : int array array;
+  len : int array;
 }
 
 (* --- occupancy helpers; coordinates are window-local. Occupancy is a
@@ -107,6 +118,7 @@ let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t) (params : Pa
       occ = Bytes.make (bw * bh) '\000';
       fixed_occ = Bytes.make (bw * bh) '\000';
       cand_index = [||];
+      by_row = None;
     }
   in
   let fixed_occ = Bytes.make (bw * bh) '\000' in
@@ -492,12 +504,94 @@ let move_delta t ~cell ~cand =
   let c = t.cells.(cell) in
   local_cost t ~cell ~cand -. local_cost t ~cell ~cand:c.cur
 
+(* --- the row index --- *)
+
+let cur_site t idx =
+  let c = t.cells.(idx) in
+  c.cands.(c.cur).site
+
+(* first position in window row [r] whose entry does not precede the
+   key (site, idx) in index order *)
+let lower_bound t ri r ~site ~idx =
+  let m = ri.members.(r) in
+  let rec go lo hi =
+    if lo >= hi then lo
+    else begin
+      let mid = (lo + hi) / 2 in
+      let e = m.(mid) in
+      let s = cur_site t e in
+      if s < site || (s = site && e > idx) then go (mid + 1) hi else go lo mid
+    end
+  in
+  go 0 ri.len.(r)
+
+let row_remove t ri ~cell ~row =
+  let r = row - t.row_lo in
+  let pos = lower_bound t ri r ~site:(cur_site t cell) ~idx:cell in
+  let m = ri.members.(r) in
+  Array.blit m (pos + 1) m pos (ri.len.(r) - pos - 1);
+  ri.len.(r) <- ri.len.(r) - 1
+
+let row_insert t ri ~cell ~row =
+  let r = row - t.row_lo in
+  let n = ri.len.(r) in
+  if n = Array.length ri.members.(r) then begin
+    let grown = Array.make (max 4 (2 * n)) 0 in
+    Array.blit ri.members.(r) 0 grown 0 n;
+    ri.members.(r) <- grown
+  end;
+  let pos = lower_bound t ri r ~site:(cur_site t cell) ~idx:cell in
+  let m = ri.members.(r) in
+  Array.blit m pos m (pos + 1) (n - pos);
+  m.(pos) <- cell;
+  ri.len.(r) <- n + 1
+
+let build_row_index t =
+  let len = Array.make t.bh 0 in
+  Array.iter
+    (fun (c : cell) ->
+      let r = c.cands.(c.cur).row - t.row_lo in
+      len.(r) <- len.(r) + 1)
+    t.cells;
+  let members = Array.map (fun n -> Array.make n 0) len in
+  let fill = Array.make t.bh 0 in
+  for idx = Array.length t.cells - 1 downto 0 do
+    let c = t.cells.(idx) in
+    let r = c.cands.(c.cur).row - t.row_lo in
+    members.(r).(fill.(r)) <- idx;
+    fill.(r) <- fill.(r) + 1
+  done;
+  (* descending-index fill plus a stable sort by site gives the tie
+     order (site ascending, then index descending) *)
+  Array.iter
+    (Array.stable_sort (fun i j -> Int.compare (cur_site t i) (cur_site t j)))
+    members;
+  { members; len }
+
+let row_index_of t =
+  match t.by_row with
+  | Some ri -> ri
+  | None ->
+    let ri = build_row_index t in
+    t.by_row <- Some ri;
+    ri
+
+let row_cells t ~row =
+  let ri = row_index_of t in
+  let r = row - t.row_lo in
+  Array.sub ri.members.(r) 0 ri.len.(r)
+
 let apply t ~cell ~cand =
   let c = t.cells.(cell) in
   let cur = c.cands.(c.cur) and next = c.cands.(cand) in
   bump t.occ t ~site:cur.site ~row:cur.row ~width:c.width (-1);
   bump t.occ t ~site:next.site ~row:next.row ~width:c.width 1;
-  c.cur <- cand
+  match t.by_row with
+  | None -> c.cur <- cand
+  | Some ri ->
+    row_remove t ri ~cell ~row:cur.row;
+    c.cur <- cand;
+    row_insert t ri ~cell ~row:next.row
 
 let commit t =
   Array.iter
@@ -565,6 +659,9 @@ let plan_delta t plan =
 
 let max_plan_moves = 8
 
+(* cells the ripple planner visits: the target row's length per plan *)
+let c_shove_row_cells = Obs.counter "distopt.shove_row_cells"
+
 let shove_plan t ~cell ~cand =
   let c = t.cells.(cell) in
   let target = c.cands.(cand) in
@@ -576,17 +673,12 @@ let shove_plan t ~cell ~cand =
     let orient = cc.cands.(cc.cur).orient in
     Hashtbl.find_opt t.cand_index.(idx) (encode_cand t ~site ~row ~orient)
   in
-  (* movable cells currently in the target row, except the moving one *)
-  let in_row = ref [] in
-  Array.iteri
-    (fun idx (cc : cell) ->
-      if idx <> cell then begin
-        let cur = cc.cands.(cc.cur) in
-        if cur.row = row then in_row := (idx, cur.site, cc.width) :: !in_row
-      end)
-    t.cells;
-  let asc = List.sort (fun (_, s1, _) (_, s2, _) -> Int.compare s1 s2) !in_row in
-  let desc = List.rev asc in
+  (* movable cells currently in the target row, in index order; the
+     moving cell itself is skipped by both cascades *)
+  let ri = row_index_of t in
+  let r = row - t.row_lo in
+  let members = ri.members.(r) and n = ri.len.(r) in
+  Obs.Counter.add c_shove_row_cells n;
   let moves = ref [ (cell, cand) ] in
   let count = ref 1 in
   let exception Fail in
@@ -594,34 +686,37 @@ let shove_plan t ~cell ~cand =
     (* left cascade: cells starting left of the target whose right edge
        intrudes past [required] slide left, nearest first *)
     let required = ref a in
-    List.iter
-      (fun (idx, site, width) ->
-        if site < a && site + width > !required then begin
-          let new_site = !required - width in
-          incr count;
-          if !count > max_plan_moves then raise Fail;
-          match cand_at idx ~site:new_site with
-          | Some k ->
-            moves := (idx, k) :: !moves;
-            required := new_site
-          | None -> raise Fail
-        end)
-      desc;
+    for j = n - 1 downto 0 do
+      let idx = members.(j) in
+      let site = cur_site t idx and width = t.cells.(idx).width in
+      if idx <> cell && site < a && site + width > !required then begin
+        let new_site = !required - width in
+        incr count;
+        if !count > max_plan_moves then raise Fail;
+        match cand_at idx ~site:new_site with
+        | Some k ->
+          moves := (idx, k) :: !moves;
+          required := new_site
+        | None -> raise Fail
+      end
+    done;
     (* right cascade *)
     let required = ref b in
-    List.iter
-      (fun (idx, site, width) ->
-        if site >= a && site < !required && site + width > a then begin
-          let new_site = !required in
-          incr count;
-          if !count > max_plan_moves then raise Fail;
-          match cand_at idx ~site:new_site with
-          | Some k ->
-            moves := (idx, k) :: !moves;
-            required := new_site + width
-          | None -> raise Fail
-        end)
-      asc;
+    for j = 0 to n - 1 do
+      let idx = members.(j) in
+      let site = cur_site t idx and width = t.cells.(idx).width in
+      if idx <> cell && site >= a && site < !required && site + width > a
+      then begin
+        let new_site = !required in
+        incr count;
+        if !count > max_plan_moves then raise Fail;
+        match cand_at idx ~site:new_site with
+        | Some k ->
+          moves := (idx, k) :: !moves;
+          required := new_site + width
+        | None -> raise Fail
+      end
+    done;
     (* verify the final configuration is overlap-free by testing against
        occupancy with all planned cells lifted *)
     List.iter
@@ -693,7 +788,11 @@ let footprint_free_at t ~cell ~cand =
   let nc = c.cands.(cand) in
   footprint_free t.occ t ~site:nc.site ~row:nc.row ~width:c.width
 
-let set_cur t ~cell ~cand = t.cells.(cell).cur <- cand
+(* the exact search never shoves, so a stale index is dropped rather
+   than maintained *)
+let set_cur t ~cell ~cand =
+  (match t.by_row with None -> () | Some _ -> t.by_row <- None);
+  t.cells.(cell).cur <- cand
 
 (* --- assignments and clones (the solver-portfolio substrate) --- *)
 
@@ -713,4 +812,5 @@ let clone t =
     t with
     cells = Array.map (fun (c : cell) -> { c with cur = c.cur }) t.cells;
     occ = Bytes.copy t.occ;
+    by_row = None;
   }

@@ -55,7 +55,13 @@ type t = {
   occ : Bytes.t;  (** bw x bh per-site occupant count (fixed + movable) *)
   fixed_occ : Bytes.t;  (** fixed blockage only *)
   cand_index : (int, int) Hashtbl.t array;  (** encoded candidate -> index *)
+  mutable by_row : row_members option;
+  (** movable cells by current window row; [None] until the first
+      {!shove_plan} (see {!row_cells}) *)
 }
+
+(** The per-row index of movable cells behind {!shove_plan}. *)
+and row_members
 
 (** [row_index placement] buckets instance ids by their current row.
     Sharing one index across the windows of a batch (positions are
@@ -123,8 +129,24 @@ val apply : t -> cell:int -> cand:int -> unit
     (possibly occupied) candidate feasible by pushing same-row neighbours
     sideways within their own candidate sets — the coordinated moves the
     MILP finds natively. Returns the full plan (including the triggering
-    move) or [None]. *)
+    move) or [None].
+
+    Cost: O(cells in the target row), read from the problem's row index,
+    which the first call builds by one scan of the cells and a sort of
+    each row. The index lists every movable cell under its current window
+    row, ordered by site ascending, then cell index descending — the
+    order a stable sort by site of a descending-index scan gives, so
+    ties resolve exactly as a whole-window scan would. {!apply} (and
+    through it {!apply_plan}, {!set_assignment} and the MILP write-back)
+    keeps the index current; {!set_cur} drops it, to be rebuilt by the
+    next call; {!clone} starts without one. Each call adds the target
+    row's length to the [distopt.shove_row_cells] counter. *)
 val shove_plan : t -> cell:int -> cand:int -> (int * int) list option
+
+(** [row_cells t ~row] is the row index's entry for placement row [row]
+    (which must lie in the window): the movable cells currently in it,
+    in the order {!shove_plan} visits them. Builds the index if absent. *)
+val row_cells : t -> row:int -> int array
 
 (** [plan_delta t plan] is the objective change of applying the plan
     (evaluated by applying and reverting). *)
@@ -143,8 +165,9 @@ val commit : t -> unit
 (** Raw occupancy primitives for exhaustive search: [lift]/[drop] remove
     or add a cell's current footprint; [footprint_free_at] checks a
     candidate against the occupancy as-is (no self-lifting); [set_cur]
-    changes the chosen candidate without touching occupancy. Callers must
-    keep occupancy consistent themselves. *)
+    changes the chosen candidate without touching occupancy, and drops
+    the row index (see {!shove_plan}). Callers must keep occupancy
+    consistent themselves. *)
 val lift : t -> cell:int -> unit
 
 val drop : t -> cell:int -> unit
@@ -162,7 +185,8 @@ val set_assignment : t -> int array -> unit
 
 (** [clone t] is an independently-solvable copy: private cell states and
     occupancy, shared immutable structure (candidates, geometries, nets,
-    pairs, fixed blockage). Solver portfolios race clones of one
+    pairs, fixed blockage); the clone has no row index until its own
+    first {!shove_plan}. Solver portfolios race clones of one
     extraction; clones must never be {!commit}ted (they share the
     placement with the original). *)
 val clone : t -> t

@@ -226,6 +226,201 @@ let prop_row_dp_monotone =
       ignore (Place.Row_opt.optimize ~passes:1 p);
       Place.Hpwl.total p <= before && Place.Legalize.check p = [])
 
+(* Reference ripple planner with no row index: it walks every movable
+   cell, sorts the target row's cells by site (stable over the
+   descending-index scan), and checks the resulting plan against a
+   private copy of the occupancy map. The indexed Wproblem.shove_plan
+   must return exactly its plans. *)
+let scan_shove_plan (t : Vm1.Wproblem.t) ~cell ~cand =
+  let module W = Vm1.Wproblem in
+  let max_plan_moves = 8 in
+  let c = t.W.cells.(cell) in
+  let target = c.W.cands.(cand) in
+  let row = target.W.row in
+  let a = target.W.site and b = target.W.site + c.W.width in
+  (* candidate of [idx] at [site] in the target row, keeping its current
+     orientation; the last match, as the encoded-candidate table keeps *)
+  let cand_at idx ~site =
+    let cc = t.W.cells.(idx) in
+    let orient = cc.W.cands.(cc.W.cur).W.orient in
+    let found = ref None in
+    Array.iteri
+      (fun k (x : W.candidate) ->
+        if x.W.site = site && x.W.row = row
+           && Geom.Orient.equal x.W.orient orient
+        then found := Some k)
+      cc.W.cands;
+    !found
+  in
+  let in_row = ref [] in
+  Array.iteri
+    (fun idx (cc : W.cell) ->
+      if idx <> cell then begin
+        let cur = cc.W.cands.(cc.W.cur) in
+        if cur.W.row = row then
+          in_row := (idx, cur.W.site, cc.W.width) :: !in_row
+      end)
+    t.W.cells;
+  let asc =
+    List.stable_sort (fun (_, s1, _) (_, s2, _) -> Int.compare s1 s2) !in_row
+  in
+  let desc = List.rev asc in
+  let moves = ref [ (cell, cand) ] in
+  let count = ref 1 in
+  let exception Fail in
+  let push idx new_site =
+    incr count;
+    if !count > max_plan_moves then raise Fail;
+    match cand_at idx ~site:new_site with
+    | Some k -> moves := (idx, k) :: !moves
+    | None -> raise Fail
+  in
+  try
+    let required = ref a in
+    List.iter
+      (fun (idx, site, width) ->
+        if site < a && site + width > !required then begin
+          push idx (!required - width);
+          required := !required - width
+        end)
+      desc;
+    let required = ref b in
+    List.iter
+      (fun (idx, site, width) ->
+        if site >= a && site < !required && site + width > a then begin
+          push idx !required;
+          required := !required + width
+        end)
+      asc;
+    let occ = Bytes.copy t.W.occ in
+    let at ~site ~row = ((row - t.W.row_lo) * t.W.bw) + (site - t.W.site_lo) in
+    let bump (cc : W.cell) (x : W.candidate) d =
+      for s = x.W.site to x.W.site + cc.W.width - 1 do
+        let i = at ~site:s ~row:x.W.row in
+        Bytes.set occ i (Char.chr (Char.code (Bytes.get occ i) + d))
+      done
+    in
+    let free (cc : W.cell) (x : W.candidate) =
+      let ok = ref true in
+      for s = x.W.site to x.W.site + cc.W.width - 1 do
+        if Bytes.get occ (at ~site:s ~row:x.W.row) <> '\000' then ok := false
+      done;
+      !ok
+    in
+    List.iter
+      (fun (idx, _) ->
+        let cc = t.W.cells.(idx) in
+        bump cc cc.W.cands.(cc.W.cur) (-1))
+      !moves;
+    let ok =
+      List.for_all
+        (fun (idx, k) ->
+          let cc = t.W.cells.(idx) in
+          free cc cc.W.cands.(k))
+        !moves
+      && List.for_all
+           (fun (idx, k) ->
+             let cc = t.W.cells.(idx) in
+             free cc cc.W.cands.(k)
+             && (bump cc cc.W.cands.(k) 1;
+                 true))
+           !moves
+    in
+    if ok then Some !moves else None
+  with Fail -> None
+
+(* the row index behind shove_plan always equals a per-row recount
+   (site ascending, then cell index descending), and the indexed planner
+   returns exactly the whole-window scan's plans, under random mixes of
+   apply, apply_plan of real plans, set_cur and restore, set_assignment
+   and clone *)
+let prop_shove_row_index =
+  QCheck2.Test.make ~name:"shove_plan row index = whole-window scan"
+    ~count:8
+    QCheck2.Gen.(pair (int_range 1 1000) (int_range 0 1_000_000))
+    (fun (seed, op_seed) ->
+      let module W = Vm1.Wproblem in
+      let p = Place.Placement.create (design_of_seed seed) ~utilization:0.8 in
+      Place.Global.place p;
+      let params = Vm1.Params.default p.Place.Placement.tech in
+      (* the fullest window of an offset grid, so row_lo and site_lo are
+         mostly nonzero *)
+      let w =
+        Array.fold_left
+          (fun (best : Vm1.Window.t) (w : Vm1.Window.t) ->
+            if List.length w.movable > List.length best.movable then w
+            else best)
+          (Vm1.Window.partition p ~tx:7 ~ty:1 ~bw:48 ~bh:6).(0)
+          (Vm1.Window.partition p ~tx:7 ~ty:1 ~bw:48 ~bh:6)
+      in
+      let t =
+        ref
+          (W.extract p params ~site_lo:w.site_lo ~row_lo:w.row_lo ~bw:w.bw
+             ~bh:w.bh ~movable:w.movable ~lx:3 ~ly:1
+             ~allow_flip:(op_seed mod 2 = 0) ~allow_move:true)
+      in
+      let n = Array.length !t.W.cells in
+      let rng = Random.State.make [| seed; op_seed |] in
+      let ok = ref true in
+      let index_matches (t : W.t) =
+        for row = t.W.row_lo to t.W.row_lo + t.W.bh - 1 do
+          let members = ref [] in
+          Array.iteri
+            (fun idx (c : W.cell) ->
+              let x = c.W.cands.(c.W.cur) in
+              if x.W.row = row then members := (x.W.site, idx) :: !members)
+            t.W.cells;
+          let expect =
+            List.sort
+              (fun (s1, i1) (s2, i2) ->
+                if s1 <> s2 then Int.compare s1 s2 else Int.compare i2 i1)
+              !members
+            |> List.map snd |> Array.of_list
+          in
+          if W.row_cells t ~row <> expect then ok := false
+        done
+      in
+      let random_cand (t : W.t) =
+        let cell = Random.State.int rng n in
+        (cell, Random.State.int rng (Array.length t.W.cells.(cell).W.cands))
+      in
+      let saved = ref (W.assignment !t) in
+      let all = ref [ !t ] in
+      if n > 0 then
+        for _ = 1 to 150 do
+          let t0 = !t in
+          (match Random.State.int rng 6 with
+          | 0 | 1 ->
+            (* the greedy solver's use: plan, compare, sometimes apply *)
+            let cell, cand = random_cand t0 in
+            let got = W.shove_plan t0 ~cell ~cand in
+            if got <> scan_shove_plan t0 ~cell ~cand then ok := false;
+            (match got with
+            | Some plan when Random.State.bool rng -> W.apply_plan t0 plan
+            | _ -> ())
+          | 2 ->
+            let cell, cand = random_cand t0 in
+            if W.candidate_free t0 ~cell ~cand then W.apply t0 ~cell ~cand
+          | 3 ->
+            (* the exact search's use: set_cur away and back *)
+            let cell, cand = random_cand t0 in
+            let back = t0.W.cells.(cell).W.cur in
+            W.set_cur t0 ~cell ~cand;
+            index_matches t0;
+            W.set_cur t0 ~cell ~cand:back
+          | 4 ->
+            let now = W.assignment t0 in
+            W.set_assignment t0 !saved;
+            saved := now
+          | _ ->
+            (* continue on the clone; the earlier problems must keep
+               their own index *)
+            t := W.clone t0;
+            all := !t :: !all);
+          List.iter index_matches !all
+        done;
+      !ok)
+
 (* the exact MILP (constraints (1)-(14)) agrees with exhaustive search on
    random small windows, both architectures *)
 let prop_milp_equals_exhaustive =
@@ -368,6 +563,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_move_delta_exact; prop_greedy_monotone_legal;
+            prop_shove_row_index;
             prop_milp_equals_exhaustive; prop_diagonal_batches;
             prop_instrumented_run_identical;
           ] );

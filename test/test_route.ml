@@ -1,4 +1,4 @@
-(* Tests for the routing substrate: heap, grid, router, metrics. *)
+(* Tests for the routing substrate: bucket queue, grid, router, metrics. *)
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -14,38 +14,6 @@ let placed_design ?(n = 250) ?(seed = 9) ?(utilization = 0.7) lib =
   let p = Place.Placement.create d ~utilization in
   Place.Global.place p;
   p
-
-(* --- Heap --- *)
-
-let test_heap_basic () =
-  let h = Route.Heap.create () in
-  checkb "empty" true (Route.Heap.is_empty h);
-  Route.Heap.push h ~prio:5 ~value:50;
-  Route.Heap.push h ~prio:1 ~value:10;
-  Route.Heap.push h ~prio:3 ~value:30;
-  check "size" 3 (Route.Heap.size h);
-  let p1, v1 = Route.Heap.pop h in
-  check "first prio" 1 p1;
-  check "first value" 10 v1;
-  let p2, _ = Route.Heap.pop h in
-  check "second prio" 3 p2;
-  let p3, _ = Route.Heap.pop h in
-  check "third prio" 5 p3;
-  checkb "empty again" true (Route.Heap.is_empty h);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty")
-    (fun () -> ignore (Route.Heap.pop h))
-
-let prop_heap_sorts =
-  QCheck2.Test.make ~name:"heap pops in priority order" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 200) (int_range 0 10000))
-    (fun prios ->
-      let h = Route.Heap.create ~capacity:4 () in
-      List.iteri (fun i p -> Route.Heap.push h ~prio:p ~value:i) prios;
-      let out = ref [] in
-      while not (Route.Heap.is_empty h) do
-        out := fst (Route.Heap.pop h) :: !out
-      done;
-      List.rev !out = List.sort Int.compare prios)
 
 (* --- Bucket queue --- *)
 
@@ -80,32 +48,37 @@ let test_bqueue_basic () =
     (fun () -> ignore (Route.Bqueue.pop q))
 
 (* under any interleaving of pushes and pops, the bucket queue returns
-   the same priority sequence as the binary heap (the reference) *)
-let prop_bqueue_matches_heap =
-  QCheck2.Test.make ~name:"bucket queue priorities match heap" ~count:300
+   the same priority sequence as a sorted list of the pending priorities
+   (the reference: pop takes its head) *)
+let prop_bqueue_matches_sorted =
+  QCheck2.Test.make ~name:"bucket queue priorities match sorted reference"
+    ~count:300
     QCheck2.Gen.(
       list_size (int_range 1 300) (pair (int_range 0 2500) (int_range 0 3)))
     (fun ops ->
       let q = Route.Bqueue.create ~capacity:16 () in
-      let h = Route.Heap.create ~capacity:4 () in
+      let pending = ref [] in
       let ok = ref true in
+      let pop_both () =
+        ignore (Route.Bqueue.pop q);
+        match !pending with
+        | p :: rest ->
+          pending := rest;
+          if Route.Bqueue.last_prio q <> p then ok := false
+        | [] -> ok := false
+      in
       List.iter
         (fun (prio, k) ->
-          if k = 0 && not (Route.Bqueue.is_empty q) then begin
-            ignore (Route.Bqueue.pop q);
-            if Route.Bqueue.last_prio q <> fst (Route.Heap.pop h) then
-              ok := false
-          end
+          if k = 0 && not (Route.Bqueue.is_empty q) then pop_both ()
           else begin
             Route.Bqueue.push q ~prio ~value:prio;
-            Route.Heap.push h ~prio ~value:prio
+            pending := List.merge Int.compare [ prio ] !pending
           end)
         ops;
       while not (Route.Bqueue.is_empty q) do
-        ignore (Route.Bqueue.pop q);
-        if Route.Bqueue.last_prio q <> fst (Route.Heap.pop h) then ok := false
+        pop_both ()
       done;
-      !ok && Route.Heap.is_empty h)
+      !ok && !pending = [])
 
 (* --- Stampset --- *)
 
@@ -639,15 +612,10 @@ let test_heat_map_tiles () =
 let () =
   Alcotest.run "route"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          QCheck_alcotest.to_alcotest prop_heap_sorts;
-        ] );
       ( "bqueue",
         [
           Alcotest.test_case "basic" `Quick test_bqueue_basic;
-          QCheck_alcotest.to_alcotest prop_bqueue_matches_heap;
+          QCheck_alcotest.to_alcotest prop_bqueue_matches_sorted;
         ] );
       ( "stampset", [ Alcotest.test_case "basic" `Quick test_stampset ] );
       ( "grid",

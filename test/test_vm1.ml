@@ -453,6 +453,58 @@ let test_dist_opt_legal_and_improves () =
   checkb "some windows" true (stats.Vm1.Dist_opt.windows > 0);
   Alcotest.(check (list string)) "legal" [] (Place.Legalize.check p)
 
+(* each distopt.window span sizes its window (cells, cands, shoves) while
+   Obs is enabled, and ripple planning reads only the target row: the
+   cells it visits stay below what a whole-window scan per plan would *)
+let test_dist_opt_window_attrs () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ())
+  @@ fun () ->
+  let p = placed ~n:400 ~utilization:0.8 closed_lib in
+  ignore
+    (Vm1.Dist_opt.run p closed_params
+       {
+         Vm1.Dist_opt.tx = 0;
+         ty = 0;
+         bw = 50;
+         bh = 8;
+         lx = 3;
+         ly = 1;
+         allow_flip = false;
+         allow_move = true;
+         mode = `Greedy;
+         parallel = false;
+         candidate_cost = None;
+       });
+  let snap = Obs.snapshot () in
+  let rec windows acc (s : Obs.Span.t) =
+    let acc = if s.name = "distopt.window" then s :: acc else acc in
+    List.fold_left windows acc s.children
+  in
+  let ws = List.fold_left windows [] snap.Obs.spans in
+  checkb "some window spans" true (ws <> []);
+  let int_attr (s : Obs.Span.t) k =
+    match List.assoc_opt k s.attrs with
+    | Some (`Int v) -> v
+    | _ -> Alcotest.failf "distopt.window lacks int attribute %s" k
+  in
+  let shoves = ref 0 and scan_cells = ref 0 in
+  List.iter
+    (fun s ->
+      let cells = int_attr s "cells" and cands = int_attr s "cands" in
+      let sh = int_attr s "shoves" in
+      checkb "cands cover cells" true (cands >= cells);
+      shoves := !shoves + sh;
+      scan_cells := !scan_cells + (sh * cells))
+    ws;
+  checkb "ripple plans attempted at 80%" true (!shoves > 0);
+  let visited =
+    Obs.Counter.value (Obs.counter "distopt.shove_row_cells")
+  in
+  checkb "row cells visited" true (visited > 0);
+  checkb "fewer than a whole-window scan" true (visited < !scan_cells)
+
 let test_vm1_opt_improves_and_legal () =
   let p = placed ~n:400 closed_lib in
   let report = Vm1.Vm1_opt.run closed_params p in
@@ -577,6 +629,7 @@ let () =
       ( "flow",
         [
           Alcotest.test_case "dist_opt" `Quick test_dist_opt_legal_and_improves;
+          Alcotest.test_case "window span attrs" `Quick test_dist_opt_window_attrs;
           Alcotest.test_case "vm1_opt" `Quick test_vm1_opt_improves_and_legal;
           Alcotest.test_case "deterministic" `Quick test_vm1_opt_deterministic;
           Alcotest.test_case "alpha=0 pure hpwl" `Quick test_vm1_opt_alpha_zero_pure_hpwl;
