@@ -1,4 +1,4 @@
-(* vm1lint: determinism / allocation analyzer over this repo's OCaml
+(* vm1lint: determinism analyzer over this repo's OCaml
    sources. See lib/lint/lint.mli and README "Static analysis". *)
 
 let default_paths = [ "lib"; "bin"; "bench"; "test"; "examples" ]
@@ -112,7 +112,7 @@ let fail_stale_arg =
 
 let cmd =
   let doc =
-    "determinism and allocation analyzer for the vm1dp sources"
+    "determinism analyzer for the vm1dp sources"
   in
   Cmd.v
     (Cmd.info "vm1lint" ~doc)

@@ -1,21 +1,16 @@
-(* vm1lint v2: a two-phase, whole-repo determinism / allocation analyzer.
+(* vm1lint v2: a two-phase, whole-repo determinism analyzer.
 
    Phase 1 parses every .ml file and walks its Parsetree, building a call
    graph whose nodes are the named functions (any nesting depth, module
    path included) with a per-function summary: the determinism taints it
    introduces directly (wall-clock / env / global-random reads, unsorted
-   Hashtbl iteration, Domain/Atomic primitives), the allocation sites in
-   its body (tuples, records, variants, closures, arrays, a curated
-   table of allocating stdlib calls), the calls it makes, and whether it
-   is annotated [@vm1.hot] / [@vm1.cold].
+   Hashtbl iteration, Domain/Atomic primitives) and the calls it makes.
 
    Phase 2 resolves calls across files (module paths, library-wrapper
    prefixes, `module M = Make (...)` aliases, lexical scope) and
    propagates taints to fixpoint, so a clock read three helpers deep
    still flags the pure-library caller — with the full call chain as a
-   witness. It also walks the call graph from every [@vm1.hot] function
-   and reports allocation sites reachable from it ([@vm1.cold] prunes
-   amortized-growth branches from the walk).
+   witness.
 
    The analysis stays syntactic (no typechecking): call resolution is a
    best-effort over module paths and is deliberately conservative —
@@ -75,11 +70,6 @@ let rules =
       summary =
         "Marshal output is not stable across compiler versions or \
          sharing; use a textual format" };
-    { name = "hot-alloc";
-      summary =
-        "allocation site reachable from a [@vm1.hot] function; hoist \
-         the allocation, restructure, or mark the amortized branch \
-         [@vm1.cold]" };
   ]
 
 let rule_names = List.map (fun r -> r.name) rules
@@ -119,8 +109,9 @@ let vetted =
       path_suffix = "bench/main.ml";
       ident_prefix = "Domain.";
       justification =
-        "the scaling benchmark reports Domain.recommended_domain_count \
-         to size its --jobs sweep; it never spawns" };
+        "the profile and load benchmarks record \
+         Domain.recommended_domain_count as their cpus field; they never \
+         spawn" };
   ]
 
 (* --- path classification -------------------------------------------- *)
@@ -319,52 +310,6 @@ let env_calls =
   [ "Sys.getenv"; "Sys.getenv_opt"; "Unix.getenv"; "Unix.unsafe_getenv";
     "Unix.environment"; "Unix.unsafe_environment" ]
 
-(* stdlib calls that allocate on every invocation — the curated table
-   behind the call:* hot-alloc kinds. Boxing conversions (Int64.of_int
-   and friends) are here because they are the classic hidden allocation
-   in OCaml hot loops. *)
-let alloc_calls =
-  [ "ref"; "incr"; "decr" ] @ [ "^"; "@" ]
-  @ [ "Array.make"; "Array.init"; "Array.copy"; "Array.append";
-      "Array.sub"; "Array.of_list"; "Array.to_list"; "Array.concat";
-      "Array.map"; "Array.mapi"; "Array.make_matrix" ]
-  @ [ "Bytes.create"; "Bytes.make"; "Bytes.copy"; "Bytes.sub";
-      "Bytes.of_string"; "Bytes.to_string"; "Bytes.extend" ]
-  @ [ "Buffer.create"; "Buffer.contents"; "Buffer.to_bytes" ]
-  @ [ "String.make"; "String.init"; "String.sub"; "String.concat";
-      "String.cat"; "String.map"; "String.mapi"; "String.split_on_char";
-      "String.lowercase_ascii"; "String.uppercase_ascii";
-      "String.capitalize_ascii"; "String.trim" ]
-  @ [ "List.map"; "List.mapi"; "List.rev_map"; "List.init"; "List.append";
-      "List.rev"; "List.rev_append"; "List.concat"; "List.concat_map";
-      "List.flatten"; "List.filter"; "List.filter_map"; "List.sort";
-      "List.stable_sort"; "List.fast_sort"; "List.sort_uniq"; "List.merge";
-      "List.split"; "List.combine"; "List.of_seq"; "List.partition" ]
-  @ [ "Hashtbl.create"; "Hashtbl.copy"; "Hashtbl.find_opt";
-      "Hashtbl.find_all"; "Hashtbl.fold" ]
-  @ [ "Queue.create"; "Queue.push"; "Queue.add"; "Stack.create";
-      "Stack.push" ]
-  @ [ "Digest.string"; "Digest.bytes"; "Digest.substring"; "Digest.to_hex" ]
-  @ [ "Printf.sprintf"; "Format.asprintf"; "Format.sprintf" ]
-  @ [ "string_of_int"; "string_of_float"; "float_of_string";
-      "int_of_string_opt"; "float_of_string_opt" ]
-  @ [ "Int64.of_int"; "Int64.of_float"; "Int64.bits_of_float";
-      "Int64.to_string"; "Int32.of_int"; "Nativeint.of_int" ]
-
-(* calls whose argument subtree is error-construction: allocating the
-   message of a raise/failwith is not a hot-path allocation *)
-let raise_heads =
-  [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
-
-(* the annotations the hot-alloc rule keys on *)
-let hot_attr = "vm1.hot"
-let cold_attr = "vm1.cold"
-
-let has_attr name (attrs : Parsetree.attributes) =
-  List.exists
-    (fun (a : Parsetree.attribute) -> a.attr_name.txt = name)
-    attrs
-
 (* --- phase 1: the call graph ---------------------------------------- *)
 
 (* a call edge, pre-resolution: [c_target] is a node id when the callee
@@ -374,18 +319,11 @@ type call = {
   c_name : string;
   mutable c_target : int;
   c_sorted : bool;  (* call site flows into a sort *)
-  c_cold : bool;    (* call site is inside a [@vm1.cold] subtree *)
 }
 
 type taint_src = {
   t_rule : string;
   t_prim : string;
-}
-
-type alloc_site = {
-  a_kind : string;
-  a_line : int;
-  a_col : int;
 }
 
 type node = {
@@ -394,15 +332,12 @@ type node = {
   n_file : string;  (* rel_path of the defining file *)
   n_line : int;
   n_col : int;
-  n_hot : bool;
-  n_cold : bool;
   mutable n_taints : taint_src list;     (* direct, post-suppression *)
-  mutable n_allocs : alloc_site list;    (* in source order *)
   mutable n_calls : call list;
 }
 
 (* a raw (pre-classification) finding; [prim] is the offending
-   identifier / allocation kind, used by vetting and fingerprints *)
+   identifier, used by vetting and fingerprints *)
 type raw = {
   r_rule : string;
   r_file : string;
@@ -494,9 +429,7 @@ let walk_file ~path ~sup ~nodes ~next_id str =
      binding that shadows any same-named function *)
   let scope = ref [] in
   let cur = ref None in
-  let cold_depth = ref 0 in
-  let exempt_depth = ref 0 in
-  let fresh_node name (loc : Location.t) ~hot ~cold =
+  let fresh_node name (loc : Location.t) =
     let id = !next_id in
     incr next_id;
     let p = loc.loc_start in
@@ -507,10 +440,7 @@ let walk_file ~path ~sup ~nodes ~next_id str =
         n_file = rel;
         n_line = p.pos_lnum;
         n_col = p.pos_cnum - p.pos_bol;
-        n_hot = hot;
-        n_cold = cold;
         n_taints = [];
-        n_allocs = [];
         n_calls = [];
       }
     in
@@ -554,29 +484,17 @@ let walk_file ~path ~sup ~nodes ~next_id str =
       then n.n_taints <- { t_rule = rule; t_prim = prim } :: n.n_taints
     | _ -> ()
   in
-  let record_alloc (loc : Location.t) kind =
-    match !cur with
-    | Some n when !cold_depth = 0 && !exempt_depth = 0 ->
-      let p = loc.loc_start in
-      n.n_allocs <-
-        { a_kind = kind; a_line = p.pos_lnum;
-          a_col = p.pos_cnum - p.pos_bol }
-        :: n.n_allocs
-    | _ -> ()
-  in
   let record_call loc name =
     match !cur with
     | None -> ()
     | Some n ->
       let entry =
         if String.contains name '.' then
-          Some { c_name = name; c_target = -1;
-                 c_sorted = in_sorted loc; c_cold = !cold_depth > 0 }
+          Some { c_name = name; c_target = -1; c_sorted = in_sorted loc }
         else
           match List.assoc_opt name !scope with
           | Some id when id >= 0 ->
-            Some { c_name = name; c_target = id;
-                   c_sorted = in_sorted loc; c_cold = !cold_depth > 0 }
+            Some { c_name = name; c_target = id; c_sorted = in_sorted loc }
           | Some _ | None -> None
       in
       (match entry with
@@ -661,9 +579,7 @@ let walk_file ~path ~sup ~nodes ~next_id str =
   in
   let visit_ident loc raw_name =
     check_ident loc raw_name;
-    let name = canonical raw_name in
-    if List.mem name alloc_calls then record_alloc loc ("call:" ^ name);
-    record_call loc name
+    record_call loc (canonical raw_name)
   in
   let rec module_alias_target (m : Parsetree.module_expr) =
     match m.pmod_desc with
@@ -704,9 +620,7 @@ let walk_file ~path ~sup ~nodes ~next_id str =
           (fun vb ->
             match binding_name vb with
             | Some name when is_function vb.pvb_expr ->
-              let hot = has_attr hot_attr vb.pvb_attributes in
-              let cold = has_attr cold_attr vb.pvb_attributes in
-              (vb, Some (name, fresh_node name vb.pvb_loc ~hot ~cold))
+              (vb, Some (name, fresh_node name vb.pvb_loc))
             | _ -> (vb, None))
           vbs
       in
@@ -731,9 +645,7 @@ let walk_file ~path ~sup ~nodes ~next_id str =
             let scope_saved = !scope in
             cur := Some n;
             ctx_stack := name :: !ctx_stack;
-            if n.n_cold then incr cold_depth;
             spine_walk self vb.pvb_expr;
-            if n.n_cold then decr cold_depth;
             scope := scope_saved;
             ctx_stack := ctx_saved;
             cur := cur_saved
@@ -742,50 +654,14 @@ let walk_file ~path ~sup ~nodes ~next_id str =
       if rf <> Asttypes.Recursive then bind_all ()
     in
     let expr self (ex : Parsetree.expression) =
-      let cold_here = has_attr cold_attr ex.pexp_attributes in
-      if cold_here then incr cold_depth;
-      (match ex.pexp_desc with
+      match ex.pexp_desc with
       | Pexp_ident { txt; loc } -> visit_ident loc (flatten_lid txt)
       | Pexp_let (rf, vbs, body) ->
         let saved = !scope in
         do_bindings self rf vbs;
         self.Ast_iterator.expr self body;
         scope := saved
-      | Pexp_fun _ | Pexp_function _ ->
-        record_alloc ex.pexp_loc "closure";
-        default.expr self ex
-      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-        when List.mem (canonical (flatten_lid txt)) raise_heads ->
-        incr exempt_depth;
-        List.iter (fun (_, a) -> self.Ast_iterator.expr self a) args;
-        decr exempt_depth
-      | Pexp_assert e ->
-        incr exempt_depth;
-        self.Ast_iterator.expr self e;
-        decr exempt_depth
-      | Pexp_tuple _ ->
-        record_alloc ex.pexp_loc "tuple";
-        default.expr self ex
-      | Pexp_record _ ->
-        record_alloc ex.pexp_loc "record";
-        default.expr self ex
-      | Pexp_construct ({ txt; _ }, Some _) ->
-        let kind =
-          if flatten_lid txt = "::" then "list" else "variant"
-        in
-        record_alloc ex.pexp_loc kind;
-        default.expr self ex
-      | Pexp_variant (_, Some _) ->
-        record_alloc ex.pexp_loc "variant";
-        default.expr self ex
-      | Pexp_array _ ->
-        record_alloc ex.pexp_loc "array";
-        default.expr self ex
-      | Pexp_lazy _ ->
-        record_alloc ex.pexp_loc "lazy";
-        default.expr self ex
-      | _ -> default.expr self ex);
-      if cold_here then decr cold_depth
+      | _ -> default.expr self ex
     in
     let structure_item self (si : Parsetree.structure_item) =
       match si.pstr_desc with
@@ -827,7 +703,6 @@ let walk_file ~path ~sup ~nodes ~next_id str =
   List.iter
     (fun n ->
       n.n_taints <- List.rev n.n_taints;
-      n.n_allocs <- List.rev n.n_allocs;
       n.n_calls <- List.rev n.n_calls)
     !file_nodes;
   {
@@ -839,7 +714,7 @@ let walk_file ~path ~sup ~nodes ~next_id str =
     f_error = None;
   }
 
-(* --- phase 2: resolution, taint fixpoint, hot-alloc reach ----------- *)
+(* --- phase 2: resolution and taint fixpoint ---------------------------- *)
 
 (* library-wrapper module names derived from the scanned file set: a
    file under lib/<d>/ is wrapped as <D>, so "Route.Bqueue.pop" and
@@ -1068,108 +943,12 @@ let interproc_findings (nodes : node array) inh =
     nodes;
   List.rev !out
 
-(* BFS the call graph from every [@vm1.hot] entry, skipping [@vm1.cold]
-   nodes and call sites, and report each reached function's allocation
-   sites aggregated per kind. Deduped across entries: the first hot
-   entry (in node order, i.e. scan order) claims a (function, kind)
-   pair, so fingerprints do not churn when a second entry gains a path
-   to the same allocation. *)
-let hot_alloc_findings (nodes : node array) =
-  let emitted = Hashtbl.create 32 in
-  let out = ref [] in
-  Array.iter
-    (fun h ->
-      if h.n_hot && not h.n_cold then begin
-        let parent = Hashtbl.create 64 in
-        Hashtbl.replace parent h.n_id (-1);
-        let q = Queue.create () in
-        Queue.push h.n_id q;
-        let order = ref [] in
-        while not (Queue.is_empty q) do
-          let u = Queue.pop q in
-          order := u :: !order;
-          let succs =
-            List.filter_map
-              (fun c ->
-                if
-                  c.c_target >= 0 && (not c.c_cold)
-                  && not nodes.(c.c_target).n_cold
-                then Some c.c_target
-                else None)
-              nodes.(u).n_calls
-            |> List.sort_uniq Int.compare
-          in
-          List.iter
-            (fun v ->
-              if not (Hashtbl.mem parent v) then begin
-                Hashtbl.replace parent v u;
-                Queue.push v q
-              end)
-            succs
-        done;
-        let rec chain_to u =
-          match Hashtbl.find_opt parent u with
-          | Some p when p >= 0 -> u :: chain_to p
-          | _ -> [ u ]
-        in
-        List.iter
-          (fun u ->
-            let f = nodes.(u) in
-            let kinds =
-              List.sort_uniq String.compare
-                (List.map (fun a -> a.a_kind) f.n_allocs)
-            in
-            List.iter
-              (fun kind ->
-                if not (Hashtbl.mem emitted (f.n_path, kind)) then begin
-                  Hashtbl.replace emitted (f.n_path, kind) ();
-                  let sites =
-                    List.filter (fun a -> a.a_kind = kind) f.n_allocs
-                  in
-                  let first = List.hd sites in
-                  let via =
-                    if u = h.n_id then ""
-                    else
-                      " via "
-                      ^ String.concat " -> "
-                          (List.map
-                             (fun id -> nodes.(id).n_path)
-                             (List.tl (List.rev (chain_to u))))
-                  in
-                  let msg =
-                    Printf.sprintf
-                      "%s allocation x%d in %s reachable from [@vm1.hot] \
-                       %s%s; hoist it or mark the branch [@vm1.cold]"
-                      kind (List.length sites) f.n_path h.n_path via
-                  in
-                  out :=
-                    {
-                      r_rule = "hot-alloc";
-                      r_file = f.n_file;
-                      r_line = first.a_line;
-                      r_col = first.a_col;
-                      r_msg = msg;
-                      r_fn = f.n_path;
-                      r_prim = kind;
-                      r_witness = witness_of nodes (List.rev (chain_to u));
-                    }
-                    :: !out
-                end)
-              kinds)
-          (List.rev !order)
-      end)
-    nodes;
-  List.rev !out
-
 (* --- fingerprints and the ratchet baseline -------------------------- *)
 
 let fingerprint_key (r : raw) ~ordinal =
-  match r.r_rule with
-  | "hot-alloc" ->
-    String.concat "|" [ "h"; r.r_file; r.r_fn; r.r_prim ]
-  | _ when r.r_witness <> [] ->
+  if r.r_witness <> [] then
     String.concat "|" [ "i"; r.r_rule; r.r_file; r.r_fn; r.r_prim ]
-  | _ ->
+  else
     String.concat "|"
       [ "l"; r.r_rule; r.r_file; r.r_fn; r.r_prim; string_of_int ordinal ]
 
@@ -1250,7 +1029,7 @@ let classify_raw ~sup_of ~baseline (r : raw) ~ordinal : verdict * finding =
     | None -> false
   in
   let is_vetted =
-    r.r_witness = [] && r.r_rule <> "hot-alloc"
+    r.r_witness = []
     && List.exists
          (fun v ->
            v.v_rule = r.r_rule
@@ -1296,7 +1075,6 @@ let run_sources ?(baseline = empty_baseline) sources =
   let call_edges = resolve_calls nodes ctxs in
   let inh = propagate nodes in
   let inter = interproc_findings nodes inh in
-  let hot = hot_alloc_findings nodes in
   let sup_tbl = Hashtbl.create 16 in
   List.iter (fun c -> Hashtbl.replace sup_tbl c.f_rel c.f_sup) ctxs;
   let sup_of rel = Hashtbl.find_opt sup_tbl rel in
@@ -1316,19 +1094,15 @@ let run_sources ?(baseline = empty_baseline) sources =
             (fun r -> classify_raw ~sup_of ~baseline r ~ordinal:(ordinal_of r))
             c.f_locals
         in
-        let of_pool pool =
+        let interproc =
           List.filter_map
             (fun r ->
               if r.r_file = c.f_rel then
                 Some (classify_raw ~sup_of ~baseline r ~ordinal:0)
               else None)
-            pool
+            inter
         in
-        ( c.f_path,
-          {
-            findings = locals @ of_pool inter @ of_pool hot;
-            parse_error = c.f_error;
-          } ))
+        (c.f_path, { findings = locals @ interproc; parse_error = c.f_error }))
       ctxs
   in
   let seen = Hashtbl.create 64 in

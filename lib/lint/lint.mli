@@ -1,5 +1,4 @@
-(** [vm1lint] v2: a two-phase, whole-repo determinism and allocation
-    analyzer over this repository's own OCaml sources, enforcing the
+(** [vm1lint] v2: a two-phase, whole-repo determinism analyzer over this repository's own OCaml sources, enforcing the
     contract that keeps the flow byte-identical across [--jobs] (see
     ARCHITECTURE.md, "Invariants and how they are enforced").
 
@@ -8,24 +7,16 @@
     (any nesting depth, module path included — e.g. [Router.search.run])
     with per-function summaries: determinism taints introduced directly
     (wall-clock / environment / global-random reads, unsorted [Hashtbl]
-    iteration, [Domain]/[Atomic] primitives), allocation sites (tuples,
-    records, variants, closures, arrays, a curated table of allocating
-    stdlib calls), outgoing calls, and the [@vm1.hot] / [@vm1.cold]
-    annotations. Phase 2 resolves calls across files and propagates
-    taints to fixpoint — a clock read three helpers deep flags the
-    pure-library caller, with the full call chain as a witness — and
-    reports allocation sites reachable from every [@vm1.hot] function
-    ([@vm1.cold] on a binding or expression prunes amortized branches,
-    e.g. a doubling realloc, from the walk).
+    iteration, [Domain]/[Atomic] primitives) and outgoing calls. Phase 2
+    resolves calls across files and propagates taints to fixpoint — a
+    clock read three helpers deep flags the pure-library caller, with
+    the full call chain as a witness.
 
     The analysis is syntactic (no typechecking): call resolution is a
     best-effort over module paths, [module M = Make (...)] aliases,
     library-wrapper prefixes ([Route.Bqueue.pop] = [Bqueue.pop]) and
     lexical scope, and resolves ambiguity to nothing rather than
-    guessing. Named local functions are graph nodes, not closure
-    allocations; anonymous [fun] is an allocation at its occurrence.
-    Argument subtrees of [raise]/[failwith]/[invalid_arg]/[assert] are
-    exempt from allocation accounting (error paths are not hot).
+    guessing.
 
     Suppression comments ([(* vm1lint: allow RULE *)], [allow-line],
     [allow-next]) work as in v1 and also stop a primitive's taint from
@@ -56,8 +47,7 @@ type finding = {
       (** stable 12-hex-digit identity used by the ratchet baseline:
           local findings key on (rule, file, function, primitive,
           occurrence ordinal); interprocedural findings on (rule, file,
-          function, sink primitive); hot-alloc findings on (file,
-          function, allocation kind) — so moving a line does not churn
+          function, sink primitive) — so moving a line does not churn
           the baseline, but a new offender does *)
   witness : (string * string * int) list;
       (** the taint chain as (function, file, line), from the flagged
@@ -74,7 +64,7 @@ type verdict =
 type report = {
   findings : (verdict * finding) list;
       (** local findings in source order, then interprocedural findings
-          in definition order, then hot-alloc findings *)
+          in definition order *)
   parse_error : string option;
       (** a file that does not parse is itself a finding *)
 }

@@ -16,23 +16,41 @@ type solution = {
 
 let eps = 1e-9
 
+(* Smallest pivot the ratio test accepts. Dividing by a tinier element
+   amplifies the tableau's rounding error until the basis goes
+   infeasible and the objective diverges. *)
+let piv_tol = 1e-7
+
+(* Harris ratio-test slack: every row whose ratio is within this much of
+   the minimum may leave, and the largest pivot among them does *)
+let feas_tol = 1e-9
+
 (* Two-phase dense primal simplex. Phase 1 minimises the sum of
    artificial variables with unit costs — no big-M constants, so reduced
    costs keep full precision; phase 2 re-installs the real objective with
-   artificial columns banned from entering the basis. *)
+   artificial columns banned from entering the basis. Rows are scaled to
+   a largest coefficient of 1, the ratio test is Harris's two-pass test
+   with a pivot tolerance, and round-off below zero in the right-hand
+   side is cut back to 0 after each pivot: together these keep the
+   Big-M window formulations on a feasible basis. *)
 let solve ?(iter_limit = 20_000) (p : problem) =
   let rows = Array.of_list p.rows in
   let m = Array.length rows in
   let n = p.ncols in
-  (* normalise to b >= 0 *)
+  (* scale each row to a largest coefficient of 1, negated where needed
+     so that b >= 0 *)
   let rows =
     Array.map
       (fun (a, rel, b) ->
-        if b < 0.0 then
-          let a' = Array.map (fun v -> -.v) a in
-          let rel' = match rel with Le -> Ge | Ge -> Le | Eq -> Eq in
-          (a', rel', -.b)
-        else (Array.copy a, rel, b))
+        let s =
+          Array.fold_left (fun s v -> Float.max s (abs_float v)) 0.0 a
+        in
+        let s = if s > 0.0 then s else 1.0 in
+        let s, rel =
+          if b < 0.0 then (-.s, match rel with Le -> Ge | Ge -> Le | Eq -> Eq)
+          else (s, rel)
+        in
+        (Array.map (fun v -> v /. s) a, rel, b /. s))
       rows
   in
   let n_slack =
@@ -76,12 +94,15 @@ let solve ?(iter_limit = 20_000) (p : problem) =
     for j = 0 to width - 1 do
       t.(r).(j) <- t.(r).(j) /. pv
     done;
+    t.(r).(c) <- 1.0;
     for i = 0 to m do
-      if i <> r && abs_float t.(i).(c) > eps then begin
-        let f = t.(i).(c) in
+      let f = t.(i).(c) in
+      if i <> r && f <> 0.0 then begin
         for j = 0 to width - 1 do
           t.(i).(j) <- t.(i).(j) -. (f *. t.(r).(j))
-        done
+        done;
+        t.(i).(c) <- 0.0;
+        if i < m && t.(i).(width - 1) < 0.0 then t.(i).(width - 1) <- 0.0
       end
     done;
     basis.(r) <- c
@@ -120,20 +141,26 @@ let solve ?(iter_limit = 20_000) (p : problem) =
            done
          end;
          if !col < 0 then raise Exit (* optimal for this objective *);
-         let row = ref (-1) in
-         let best_ratio = ref infinity in
+         (* Harris's ratio test: the largest step any row allows with
+            [feas_tol] slack, then the largest pivot among the rows whose
+            own ratio fits in it (ties to the lowest basic index) *)
+         let c = !col in
+         let bound = ref infinity in
          for i = 0 to m - 1 do
-           if t.(i).(!col) > eps then begin
-             let ratio = t.(i).(width - 1) /. t.(i).(!col) in
-             if
-               ratio < !best_ratio -. eps
-               || (ratio < !best_ratio +. eps
-                   && (!row < 0 || basis.(i) < basis.(!row)))
-             then begin
-               best_ratio := ratio;
-               row := i
-             end
-           end
+           if t.(i).(c) > piv_tol then
+             bound :=
+               Float.min !bound ((t.(i).(width - 1) +. feas_tol) /. t.(i).(c))
+         done;
+         let row = ref (-1) in
+         for i = 0 to m - 1 do
+           let a = t.(i).(c) in
+           if
+             a > piv_tol
+             && t.(i).(width - 1) /. a <= !bound
+             && (!row < 0
+                || a > t.(!row).(c)
+                || (a = t.(!row).(c) && basis.(i) < basis.(!row)))
+           then row := i
          done;
          if !row < 0 then begin
            result := Unbounded;

@@ -5,7 +5,9 @@
     Two-phase method (phase 1 minimises the artificial-variable sum, so
     no big-M constants pollute the reduced costs), largest-coefficient
     pivoting with a Bland's-rule fallback to guarantee termination.
-    Intended for
+    Rows are scaled to a largest coefficient of 1 and the ratio test is
+    Harris's, with a pivot tolerance of [1e-7], so Big-M rows next to
+    unit rows do not drive the tableau off a feasible basis. Intended for
     the window-sized MILPs of the detailed-placement formulation (hundreds
     of rows/columns); not a large-scale solver. *)
 

@@ -3,7 +3,6 @@ type id =
   | Lint
   | Lint_baseline
   | Route_profile
-  | Bench_scaling
   | Trace_report
   | Jobs
   | Bench_load
@@ -20,7 +19,6 @@ let all =
     Lint;
     Lint_baseline;
     Route_profile;
-    Bench_scaling;
     Trace_report;
     Jobs;
     Bench_load;
@@ -37,7 +35,6 @@ let to_string = function
   | Lint -> "vm1dp-lint/2"
   | Lint_baseline -> "vm1dp-lint-baseline/1"
   | Route_profile -> "vm1dp-route-profile/1"
-  | Bench_scaling -> "vm1dp-bench-scaling/1"
   | Trace_report -> "vm1dp-trace-report/1"
   | Jobs -> "vm1dp-jobs/1"
   | Bench_load -> "vm1dp-bench-load/1"
@@ -53,7 +50,6 @@ let trace = to_string Trace
 let lint = to_string Lint
 let lint_baseline = to_string Lint_baseline
 let route_profile = to_string Route_profile
-let bench_scaling = to_string Bench_scaling
 let trace_report = to_string Trace_report
 let jobs = to_string Jobs
 let bench_load = to_string Bench_load

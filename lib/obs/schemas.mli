@@ -17,7 +17,6 @@ type id =
           ([lint_baseline.json]) of known-debt finding fingerprints;
           [@lint] fails only on findings not in it *)
   | Route_profile  (** [bench route-profile]: router quality/profile *)
-  | Bench_scaling  (** [bench scaling]: per-stage wall-clock vs --jobs *)
   | Trace_report   (** [Trace.Profile.to_json]: aggregated trace profile *)
   | Jobs
       (** the [vm1d] batch-service wire format: both the job requests a
@@ -68,7 +67,6 @@ val trace : string
 val lint : string
 val lint_baseline : string
 val route_profile : string
-val bench_scaling : string
 val trace_report : string
 val jobs : string
 val bench_load : string

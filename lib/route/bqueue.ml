@@ -61,12 +61,11 @@ let pushes t = t.npush
 let last_prio t = t.last
 
 let note_touched t b =
-  if t.ntouched = Array.length t.touched then
-    begin
-      let a = Array.make (2 * t.ntouched) 0 in
-      Array.blit t.touched 0 a 0 t.ntouched;
-      t.touched <- a
-    end [@vm1.cold];
+  if t.ntouched = Array.length t.touched then begin
+    let a = Array.make (2 * t.ntouched) 0 in
+    Array.blit t.touched 0 a 0 t.ntouched;
+    t.touched <- a
+  end;
   t.touched.(t.ntouched) <- b;
   t.ntouched <- t.ntouched + 1
 
@@ -75,7 +74,7 @@ let note_touched t b =
    must be derived from [t.hi], the top of the occupied span — never
    from the current capacity, which would compound geometrically across
    calls. *)
-let[@vm1.cold] realloc t ~nbuckets ~shift =
+let realloc t ~nbuckets ~shift =
   let cap = ref (Array.length t.len) in
   while !cap < nbuckets do cap := !cap * 2 done;
   let data = Array.make !cap [||]
@@ -101,7 +100,7 @@ let[@vm1.cold] realloc t ~nbuckets ~shift =
   t.cursor <- t.cursor + shift;
   t.hi <- t.hi + shift
 
-let[@vm1.hot] prepare t ~origin =
+let prepare t ~origin =
   if not t.seeded then begin
     t.origin <- origin;
     t.seeded <- true;
@@ -109,7 +108,7 @@ let[@vm1.hot] prepare t ~origin =
     t.hi <- 0
   end
 
-let[@vm1.hot] push t ~prio ~value =
+let push t ~prio ~value =
   if not t.seeded then begin
     t.origin <- prio - origin_slack;
     t.seeded <- true;
@@ -126,13 +125,12 @@ let[@vm1.hot] push t ~prio ~value =
   let bucket = t.data.(b) in
   let bucket =
     if l < Array.length bucket then bucket
-    else
-      begin
-        let nb = Array.make (max 4 (2 * l)) 0 in
-        Array.blit bucket 0 nb 0 l;
-        t.data.(b) <- nb;
-        nb
-      end [@vm1.cold]
+    else begin
+      let nb = Array.make (max 4 (2 * l)) 0 in
+      Array.blit bucket 0 nb 0 l;
+      t.data.(b) <- nb;
+      nb
+    end
   in
   bucket.(l) <- value;
   t.len.(b) <- l + 1;
@@ -153,7 +151,7 @@ let rec first_bucket words w cur =
   if cur <> 0 then (w * bpw) + bit_index (cur land (-cur))
   else first_bucket words (w + 1) words.(w + 1)
 
-let[@vm1.hot] pop t =
+let pop t =
   if t.size = 0 then invalid_arg "Bqueue.pop: empty";
   let w0 = t.cursor / bpw in
   let b =
@@ -176,7 +174,7 @@ let[@vm1.hot] pop t =
   t.last <- t.origin + b;
   v
 
-let[@vm1.hot] clear t =
+let clear t =
   for k = 0 to t.ntouched - 1 do
     let b = t.touched.(k) in
     t.len.(b) <- 0;

@@ -35,8 +35,7 @@ let c_bq_pushes = Obs.counter "route.bq_pushes"
 let g_overflow = Obs.gauge "route.overflow_edges"
 
 (* Allocation-pressure gauge over the whole route span, normalized per
-   subnet — the runtime complement to the structural hot-alloc lint on
-   the A* loop. *)
+   subnet; @perf-gate bands it against the committed trace baseline. *)
 let g_minor_words = Obs.gauge "route.minor_words_per_subnet"
 
 (* side, in tracks, of the congestion heat-map tiles [route] attaches
@@ -164,7 +163,7 @@ let search ctx ~net ~tg ~src ~bbox ~tbox =
   let g = ctx.g in
   let imin, imax, jmin, jmax = bbox in
   let ti_min, ti_max, tj_min, tj_max = tbox in
-  let[@vm1.hot] run margin =
+  let run margin =
     let ilo = max 0 (imin - margin)
     and ihi = min (g.Grid.nx - 1) (imax + margin) in
     let jlo = max 0 (jmin - margin)

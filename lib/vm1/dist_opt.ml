@@ -16,6 +16,7 @@ type stats = {
   windows : int;
   batches : int;
   total_moves : int;
+  minor_words : float;
 }
 
 (* Windows of one diagonal batch have pairwise-disjoint projections, so
@@ -29,15 +30,6 @@ type stats = {
 let c_windows_solved = Obs.counter "scp.windows_solved"
 let c_moves = Obs.counter "scp.moves"
 let h_window_moves = Obs.histogram "distopt.window_moves"
-
-(* Allocation-pressure gauge: minor words burned per window across a
-   whole [run]. The hot-alloc lint (vm1lint) bounds what the annotated
-   paths may allocate structurally; this gauge is the runtime check
-   that the aggregate stays flat as designs scale. Coordinator-domain
-   words only — worker-domain minor heaps are invisible to
-   [Gc.minor_words] here, which is fine: extract/commit (the paths the
-   lint ratchets) run on the coordinator. *)
-let g_minor_words = Obs.gauge "distopt.minor_words_per_window"
 
 (* Per-window attribution span: identifies the window (grid indices,
    site/row origin, DBU bounding box), sizes it (movable cells, total
@@ -156,11 +148,10 @@ let run (p : Place.Placement.t) (params : Params.t) (c : config) =
               Obs.with_span "distopt.commit" (fun () ->
                   Array.iter Wproblem.commit problems)))
         batches;
-      if Obs.enabled () && Array.length windows > 0 then
-        Obs.Gauge.set g_minor_words
-          ((Gc.minor_words () -. mw0) /. float_of_int (Array.length windows));
       {
         windows = Array.length windows;
         batches = List.length batches;
         total_moves = !total_moves;
+        minor_words =
+          (if Obs.enabled () then Gc.minor_words () -. mw0 else 0.);
       })

@@ -30,6 +30,10 @@ type stats = {
   windows : int;      (** windows with at least one movable cell *)
   batches : int;      (** diagonally-independent batches processed *)
   total_moves : int;  (** accepted cell moves/flips, summed over windows *)
+  minor_words : float;
+      (** minor-heap words allocated on the calling domain during the
+          run (window solves that run on pool workers are not counted);
+          [0.] unless [Obs.enabled] *)
 }
 
 (** [run p params config] optimises in place. Emits observability when

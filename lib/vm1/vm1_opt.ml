@@ -35,6 +35,12 @@ let c_iterations = Obs.counter "vm1opt.iterations"
 let g_initial_objective = Obs.gauge "vm1opt.initial_objective"
 let g_final_objective = Obs.gauge "vm1opt.final_objective"
 
+(* Allocation-pressure gauge: DistOpt's minor words per window over
+   every pass of the run (move and flip-only alike), the measurement
+   @perf-gate bands. Summed per run, not per pass: a module-level total
+   would mix the flows vm1d runs on several domains. *)
+let g_minor_words = Obs.gauge "distopt.minor_words_per_window"
+
 let run ?(config = default_config) (params : Params.t)
     (p : Place.Placement.t) =
   Obs.with_span "vm1opt.run" (fun () ->
@@ -44,6 +50,7 @@ let run ?(config = default_config) (params : Params.t)
   let initial_objective = Objective.value params p in
   let iterations = ref [] in
   let tx = ref 0 and ty = ref 0 in
+  let words = ref 0. and windows = ref 0 in
   List.iteri
     (fun step_index (u : Params.step) ->
       Obs.with_span "vm1opt.step"
@@ -95,6 +102,8 @@ let run ?(config = default_config) (params : Params.t)
               candidate_cost = config.candidate_cost;
             }
         in
+        words := !words +. s1.Dist_opt.minor_words +. s2.Dist_opt.minor_words;
+        windows := !windows + s1.Dist_opt.windows + s2.Dist_opt.windows;
         (* shift the window grid to free boundary cells next iteration *)
         tx := (!tx + (bw / 2)) mod bw;
         ty := (!ty + (bh / 2)) mod bh;
@@ -117,6 +126,8 @@ let run ?(config = default_config) (params : Params.t)
   let final_objective = Objective.value params p in
   Obs.Gauge.set g_initial_objective initial_objective;
   Obs.Gauge.set g_final_objective final_objective;
+  if Obs.enabled () && !windows > 0 then
+    Obs.Gauge.set g_minor_words (!words /. float_of_int !windows);
   {
     initial_objective;
     final_objective;

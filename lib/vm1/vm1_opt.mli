@@ -33,5 +33,8 @@ type report = {
 
 (** [run ?config params p] optimises in place and reports the trajectory.
     Window sizes in the sequence are given in micrometres and converted
-    to sites/rows against the placement's technology. *)
+    to sites/rows against the placement's technology. When
+    [Obs.enabled], sets the [distopt.minor_words_per_window] gauge to
+    the {!Dist_opt.stats.minor_words} of every DistOpt pass of the run
+    divided by their windows. *)
 val run : ?config:config -> Params.t -> Place.Placement.t -> report

@@ -91,7 +91,7 @@ let row_index (p : Place.Placement.t) =
   done;
   idx
 
-let[@vm1.hot] extract ?candidate_cost ?rows (p : Place.Placement.t) (params : Params.t)
+let extract ?candidate_cost ?rows (p : Place.Placement.t) (params : Params.t)
     ~site_lo ~row_lo ~bw ~bh ~movable ~lx ~ly ~allow_flip ~allow_move =
   let design = p.design in
   let tech = p.tech in

@@ -61,18 +61,14 @@ let test_distopt_identity () =
    creeping back into it without the same-bytes contract. *)
 let test_route_identity () =
   let p = Lazy.force fixture in
-  let digest (r : Route.Router.result) =
-    Digest.to_hex
-      (Digest.string
-         (Marshal.to_string
-            (r.Route.Router.routes, r.Route.Router.failed_subnets)
-            []))
-  in
   Exec.set_jobs 1;
   let r1 = Route.Router.route p in
   Exec.set_jobs 4;
   let r4 = Route.Router.route p in
-  Alcotest.(check string) "routes identical" (digest r1) (digest r4);
+  Alcotest.(check bool) "routes identical" true
+    (r1.Route.Router.routes = r4.Route.Router.routes);
+  Alcotest.(check int) "failed subnets identical"
+    r1.Route.Router.failed_subnets r4.Route.Router.failed_subnets;
   Alcotest.(check bool) "usage identical" true
     (r1.Route.Router.grid.Route.Grid.wire_usage
        = r4.Route.Router.grid.Route.Grid.wire_usage

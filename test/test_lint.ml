@@ -3,10 +3,8 @@
    inline sources, so no fixture .ml files confuse the build) and stay
    silent on the sanctioned idiom. v2 additions covered here: the
    interprocedural taint fixpoint (witness chains, sanction boundaries,
-   functor aliases), the [@vm1.hot] allocation rule (including the
-   [@vm1.cold] pruning and the fingerprint scheme), and the ratchet
-   baseline (known debt passes, novel findings fail, fixed debt goes
-   stale). *)
+   functor aliases, the fingerprint scheme) and the ratchet baseline
+   (known debt passes, novel findings fail, fixed debt goes stale). *)
 
 let lint ?(path = "lib/place/fixture.ml") src = Lint.lint_source ~path src
 
@@ -272,64 +270,6 @@ let test_suppressed_taint_does_not_propagate () =
   Alcotest.(check (list string)) "source is suppressed" [ "wall-clock" ]
     (rules_of Lint.Suppressed src)
 
-(* --- hot-alloc --- *)
-
-(* an allocation in a callee of a [@vm1.hot] function fires, carries the
-   call-path witness, and keys its fingerprint on (file, allocating
-   function, kind) — the exact committed-baseline contract *)
-let test_hot_callee_alloc () =
-  let src = "let mk x = (x, x)\nlet[@vm1.hot] loop x = mk x" in
-  match active_findings src with
-  | [ f ] ->
-    Alcotest.(check string) "rule" "hot-alloc" f.rule;
-    Alcotest.(check string) "allocating function" "Fixture.mk" f.fn;
-    Alcotest.(check (list string))
-      "witness from the hot root to the allocation"
-      [ "Fixture.loop"; "Fixture.mk" ]
-      (List.map (fun (fn, _, _) -> fn) f.witness);
-    Alcotest.(check string) "fingerprint"
-      (fp "h|lib/place/fixture.ml|Fixture.mk|tuple")
-      f.fingerprint
-  | fs ->
-    Alcotest.failf "expected exactly one hot-alloc finding, got %d"
-      (List.length fs)
-
-let test_hot_own_alloc_fires =
-  check_fires "hot-alloc" "let[@vm1.hot] f x = Some x"
-
-let test_hot_cold_branch_pruned =
-  check_silent
-    "let grow x = (x, x)\n\
-     let[@vm1.hot] f x = if x = 0 then begin fst (grow x) end [@vm1.cold] \
-     else x"
-
-let test_hot_cold_callee_pruned =
-  check_silent
-    "let[@vm1.cold] grow x = (x, x)\nlet[@vm1.hot] f x = fst (grow x)"
-
-let test_not_hot_alloc_silent = check_silent "let f x = (x, x)"
-
-(* the deliberately-boxed A* fixture from the ISSUE: a pop loop that
-   boxes its scan state in refs and closures must light up *)
-let test_boxed_astar_fixture () =
-  let src =
-    "let[@vm1.hot] astar_pop q =\n\
-    \  let best = ref max_int in\n\
-    \  List.iter (fun (p, _) -> if p < !best then best := p) q;\n\
-    \  List.filter (fun (p, _) -> p <> !best) q"
-  in
-  let kinds =
-    List.sort_uniq String.compare
-      (List.map (fun (f : Lint.finding) -> f.message) (active_findings src))
-  in
-  Alcotest.(check bool) "boxed pop loop fires" true (List.length kinds >= 2);
-  let rules =
-    List.sort_uniq String.compare
-      (List.map (fun (f : Lint.finding) -> f.rule) (active_findings src))
-  in
-  Alcotest.(check (list string)) "all findings are hot-alloc" [ "hot-alloc" ]
-    rules
-
 (* --- the ratchet baseline --- *)
 
 let ratchet_src = "let f a b = compare a b"
@@ -411,9 +351,23 @@ let test_active_counts_parse_errors () =
   let run = Lint.run_sources [ ("broken.ml", "let let = in") ] in
   Alcotest.(check int) "parse error counts as active" 1 (Lint.active run)
 
-let test_rule_count () =
-  Alcotest.(check bool) "at least 12 rules" true
-    (List.length Lint.rules >= 12)
+let test_rule_set () =
+  Alcotest.(check (list string)) "the determinism rules"
+    [ "hashtbl-order"; "poly-compare"; "phys-eq"; "domain-prims";
+      "global-random"; "wall-clock"; "env-read"; "exit-in-lib"; "obj-magic";
+      "readdir-unsorted"; "marshal" ]
+    (List.map (fun (r : Lint.rule) -> r.name) Lint.rules)
+
+(* vm1lint reads no performance annotations: a [@vm1.hot] or
+   [@vm1.cold] function that allocates is not a finding, and the
+   determinism rules fire inside it as anywhere else *)
+let test_perf_attributes_inert () =
+  Alcotest.(check (list string)) "allocation under annotations" []
+    (active_rules
+       "let[@vm1.hot] f l = List.map succ l\n\
+        let[@vm1.cold] g () = Array.make 4 0");
+  Alcotest.(check (list string)) "rules still fire inside" [ "poly-compare" ]
+    (active_rules "let[@vm1.hot] f a b = compare a b")
 
 let test_json_shape () =
   let run = Lint.run_sources [ ("f.ml", "let x = compare") ] in
@@ -460,29 +414,12 @@ let test_repo_clean_vs_baseline () =
         actives
   end
 
-(* the real router hot path must satisfy the hot-alloc rule without any
-   baseline help: Bqueue push/pop/prepare/clear and the A* loop are
-   annotated and allocation-free *)
-let test_router_hot_path_clean () =
-  if not (Sys.file_exists "../lib/route") then ()
-  else begin
-    let run = Lint.run_paths [ "../lib/route" ] in
-    let hot_allocs =
-      List.concat_map
-        (fun (_, (r : Lint.report)) ->
-          List.filter_map
-            (fun (v, (f : Lint.finding)) ->
-              if v = Lint.Active && f.rule = "hot-alloc" then
-                Some (Printf.sprintf "%s:%d %s" f.file f.line f.fn)
-              else None)
-            r.findings)
-        run.Lint.reports
-    in
-    Alcotest.(check (list string)) "router hot path allocation-free" []
-      hot_allocs;
-    Alcotest.(check int) "no other active findings either" 0
-      (Lint.active run)
-  end
+(* the router needs no baseline help: lib/route alone has no active
+   finding *)
+let test_router_clean () =
+  if Sys.file_exists "../lib/route" then
+    Alcotest.(check int) "no active findings in lib/route" 0
+      (Lint.active (Lint.run_paths [ "../lib/route" ]))
 
 let test_no_suppressions_in_core () =
   let paths = List.filter Sys.file_exists [ "../lib/vm1"; "../lib/route" ] in
@@ -591,20 +528,6 @@ let () =
           Alcotest.test_case "suppression stops the taint" `Quick
             test_suppressed_taint_does_not_propagate;
         ] );
-      ( "hot-alloc",
-        [
-          Alcotest.test_case "callee alloc, witness, fingerprint" `Quick
-            test_hot_callee_alloc;
-          Alcotest.test_case "own alloc fires" `Quick test_hot_own_alloc_fires;
-          Alcotest.test_case "cold branch pruned" `Quick
-            test_hot_cold_branch_pruned;
-          Alcotest.test_case "cold callee pruned" `Quick
-            test_hot_cold_callee_pruned;
-          Alcotest.test_case "unannotated silent" `Quick
-            test_not_hot_alloc_silent;
-          Alcotest.test_case "boxed A* fixture fires" `Quick
-            test_boxed_astar_fixture;
-        ] );
       ( "ratchet",
         [
           Alcotest.test_case "baseline absorbs known debt" `Quick
@@ -623,15 +546,17 @@ let () =
           Alcotest.test_case "parse error surfaces" `Quick test_parse_error;
           Alcotest.test_case "parse error is active" `Quick
             test_active_counts_parse_errors;
-          Alcotest.test_case ">= 12 rules" `Quick test_rule_count;
+          Alcotest.test_case "rule set" `Quick test_rule_set;
+          Alcotest.test_case "perf attributes inert" `Quick
+            test_perf_attributes_inert;
           Alcotest.test_case "json schema" `Quick test_json_shape;
         ] );
       ( "repo",
         [
           Alcotest.test_case "repo clean vs committed baseline" `Quick
             test_repo_clean_vs_baseline;
-          Alcotest.test_case "router hot path allocation-free" `Quick
-            test_router_hot_path_clean;
+          Alcotest.test_case "lib/route has no active findings" `Quick
+            test_router_clean;
           Alcotest.test_case "core libs suppression-free" `Quick
             test_no_suppressions_in_core;
         ] );

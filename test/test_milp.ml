@@ -71,6 +71,69 @@ let test_lp_negative_rhs () =
   checkb "optimal" true (s.Milp.Lp.status = Milp.Lp.Optimal);
   checkf "x = 1" 1.0 s.values.(0)
 
+(* Beale's example: degenerate at the origin, it cycles forever under
+   the largest-coefficient rule with a naive ratio test *)
+let test_lp_beale_degenerate () =
+  let p =
+    {
+      Milp.Lp.ncols = 4;
+      objective = [| -0.75; 150.0; -0.02; 6.0 |];
+      rows =
+        [
+          ([| 0.25; -60.0; -0.04; 9.0 |], Milp.Lp.Le, 0.0);
+          ([| 0.5; -90.0; -0.02; 3.0 |], Milp.Lp.Le, 0.0);
+          ([| 0.0; 0.0; 1.0; 0.0 |], Milp.Lp.Le, 1.0);
+        ];
+    }
+  in
+  let s = Milp.Lp.solve p in
+  checkb "optimal" true (s.Milp.Lp.status = Milp.Lp.Optimal);
+  checkf "objective" (-0.05) s.objective_value;
+  checkf "x1" 0.04 s.values.(0);
+  checkf "x3" 1.0 s.values.(2)
+
+(* rows are scaled internally, so multiplying a row by a positive factor
+   (a Big-M row next to unit rows) changes neither the optimum nor the
+   point returned *)
+let test_lp_row_scaling () =
+  let mk k1 k2 k3 =
+    {
+      Milp.Lp.ncols = 3;
+      objective = [| -1.0; -2.0; 1.0 |];
+      rows =
+        [
+          ([| k1; k1; 0.0 |], Milp.Lp.Le, 4.0 *. k1);
+          ([| k2; 0.0; -.k2 |], Milp.Lp.Le, 3.0 *. k2);
+          ([| 0.0; k3; 0.0 |], Milp.Lp.Le, 2.0 *. k3);
+          ([| 1.0; 0.0; 1.0 |], Milp.Lp.Ge, 1.0);
+        ];
+    }
+  in
+  let base = Milp.Lp.solve (mk 1.0 1.0 1.0) in
+  let scaled = Milp.Lp.solve (mk 1e6 1e-6 1e3) in
+  checkb "base optimal" true (base.Milp.Lp.status = Milp.Lp.Optimal);
+  checkb "scaled optimal" true (scaled.Milp.Lp.status = Milp.Lp.Optimal);
+  checkf "base objective" (-6.0) base.objective_value;
+  checkf "same objective" base.objective_value scaled.objective_value;
+  Array.iteri
+    (fun j v -> checkf (Printf.sprintf "x%d" j) v scaled.values.(j))
+    base.values
+
+let test_lp_iter_limit () =
+  let p =
+    {
+      Milp.Lp.ncols = 2;
+      objective = [| -1.0; -2.0 |];
+      rows =
+        [
+          ([| 1.0; 1.0 |], Milp.Lp.Le, 4.0);
+          ([| 0.0; 1.0 |], Milp.Lp.Le, 2.0);
+        ];
+    }
+  in
+  let s = Milp.Lp.solve ~iter_limit:1 p in
+  checkb "iteration limit reported" true (s.Milp.Lp.status = Milp.Lp.IterLimit)
+
 (* --- model building --- *)
 
 let test_model_bounds_and_shift () =
@@ -298,6 +361,10 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_lp_infeasible;
           Alcotest.test_case "unbounded" `Quick test_lp_unbounded;
           Alcotest.test_case "negative rhs" `Quick test_lp_negative_rhs;
+          Alcotest.test_case "degenerate (Beale)" `Quick
+            test_lp_beale_degenerate;
+          Alcotest.test_case "row scaling" `Quick test_lp_row_scaling;
+          Alcotest.test_case "iteration limit" `Quick test_lp_iter_limit;
         ] );
       ( "model",
         [

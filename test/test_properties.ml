@@ -421,46 +421,68 @@ let prop_shove_row_index =
         done;
       !ok)
 
-(* the exact MILP (constraints (1)-(14)) agrees with exhaustive search on
-   random small windows, both architectures *)
+(* The objectives the exact MILP (constraints (1)-(14)) and exhaustive
+   search reach on the first 2-4-cell window of a seeded 120-instance
+   design; [None] when the design has no such window *)
+let milp_and_exhaustive ~seed ~open_m1 =
+  let arch = if open_m1 then Pdk.Cell_arch.Open_m1 else Pdk.Cell_arch.Closed_m1 in
+  let archlib = Pdk.Libgen.generate (Pdk.Tech.default arch) in
+  let d =
+    Netlist.Generator.generate archlib
+      (Netlist.Generator.default_config ~n_instances:120 ~seed)
+      ~name:"w"
+  in
+  let p = Place.Placement.create d ~utilization:0.7 in
+  Place.Global.place p;
+  let params = Vm1.Params.default p.Place.Placement.tech in
+  let pick () =
+    let ws = Vm1.Window.partition p ~tx:0 ~ty:0 ~bw:14 ~bh:2 in
+    Array.to_list ws
+    |> List.filter (fun (w : Vm1.Window.t) ->
+           let k = List.length w.movable in
+           k >= 2 && k <= 4)
+  in
+  match pick () with
+  | [] -> None
+  | w :: _ ->
+    let extract () =
+      Vm1.Wproblem.extract p params ~site_lo:w.site_lo ~row_lo:w.row_lo
+        ~bw:w.bw ~bh:w.bh ~movable:w.movable ~lx:2 ~ly:1
+        ~allow_flip:false ~allow_move:true
+    in
+    let te = extract () in
+    let saved = Array.map (fun (c : Vm1.Wproblem.cell) -> c.cur) te.cells in
+    ignore (Vm1.Scp_solver.solve ~mode:`Exact te);
+    let exact_obj = Vm1.Wproblem.objective te in
+    (* fresh problem, same initial state *)
+    let tm = extract () in
+    Array.iteri (fun i cand -> Vm1.Wproblem.apply tm ~cell:i ~cand) saved;
+    ignore (Vm1.Formulate.solve ~node_limit:30_000 tm);
+    Some (Vm1.Wproblem.objective tm, exact_obj)
+
+(* the exact MILP agrees with exhaustive search on random small windows,
+   both architectures *)
 let prop_milp_equals_exhaustive =
   QCheck2.Test.make ~name:"MILP = exhaustive on random windows" ~count:6
     QCheck2.Gen.(pair (int_range 1 500) bool)
     (fun (seed, open_m1) ->
-      let arch = if open_m1 then Pdk.Cell_arch.Open_m1 else Pdk.Cell_arch.Closed_m1 in
-      let archlib = Pdk.Libgen.generate (Pdk.Tech.default arch) in
-      let d =
-        Netlist.Generator.generate archlib
-          (Netlist.Generator.default_config ~n_instances:120 ~seed)
-          ~name:"w"
-      in
-      let p = Place.Placement.create d ~utilization:0.7 in
-      Place.Global.place p;
-      let params = Vm1.Params.default p.Place.Placement.tech in
-      let pick () =
-        let ws = Vm1.Window.partition p ~tx:0 ~ty:0 ~bw:14 ~bh:2 in
-        Array.to_list ws
-        |> List.filter (fun (w : Vm1.Window.t) ->
-               let k = List.length w.movable in
-               k >= 2 && k <= 4)
-      in
-      match pick () with
-      | [] -> true (* no suitable window for this seed *)
-      | w :: _ ->
-        let extract () =
-          Vm1.Wproblem.extract p params ~site_lo:w.site_lo ~row_lo:w.row_lo
-            ~bw:w.bw ~bh:w.bh ~movable:w.movable ~lx:2 ~ly:1
-            ~allow_flip:false ~allow_move:true
-        in
-        let te = extract () in
-        let saved = Array.map (fun (c : Vm1.Wproblem.cell) -> c.cur) te.cells in
-        ignore (Vm1.Scp_solver.solve ~mode:`Exact te);
-        let exact_obj = Vm1.Wproblem.objective te in
-        (* fresh problem, same initial state *)
-        let tm = extract () in
-        Array.iteri (fun i cand -> Vm1.Wproblem.apply tm ~cell:i ~cand) saved;
-        ignore (Vm1.Formulate.solve ~node_limit:30_000 tm);
-        abs_float (Vm1.Wproblem.objective tm -. exact_obj) < 0.5)
+      match milp_and_exhaustive ~seed ~open_m1 with
+      | None -> true (* no suitable window for this seed *)
+      | Some (milp_obj, exact_obj) -> abs_float (milp_obj -. exact_obj) < 0.5)
+
+(* the OpenM1 window of seed 464: its node relaxations used to drift off
+   a feasible basis into the LP iteration limit, and branch and bound
+   did not return for hours *)
+let test_milp_seed464_open () =
+  let t0 = Sys.time () in
+  match milp_and_exhaustive ~seed:464 ~open_m1:true with
+  | None -> Alcotest.fail "seed 464 has no 2-4-cell window"
+  | Some (milp_obj, exact_obj) ->
+    Alcotest.(check (float 0.5)) "MILP = exhaustive" exact_obj milp_obj;
+    let cpu_s = Sys.time () -. t0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "under 10 s (%.2f s CPU)" cpu_s)
+      true (cpu_s < 10.0)
 
 (* diagonal batches always have pairwise-disjoint projections and cover
    every window, for arbitrary grid offsets *)
@@ -566,6 +588,10 @@ let () =
             prop_shove_row_index;
             prop_milp_equals_exhaustive; prop_diagonal_batches;
             prop_instrumented_run_identical;
+          ]
+        @ [
+            Alcotest.test_case "MILP = exhaustive, OpenM1 seed-464 window"
+              `Quick test_milp_seed464_open;
           ] );
       ( "sta",
         List.map QCheck_alcotest.to_alcotest [ prop_sta_monotone ] );

@@ -515,6 +515,91 @@ let test_vm1_opt_improves_and_legal () =
     ((Vm1.Objective.counts closed_params p).Vm1.Objective.alignments >= 0);
   Alcotest.(check (list string)) "legal" [] (Place.Legalize.check p)
 
+(* distopt.minor_words_per_window covers every DistOpt pass of a VM1Opt
+   run: the words of the move and the flip-only pass over the windows of
+   both, not the last (flip-only) pass alone, which never plans a ripple
+   move *)
+let test_minor_words_all_passes () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false; Obs.reset ())
+  @@ fun () ->
+  let p = placed ~n:250 closed_lib in
+  let q = Place.Placement.copy p in
+  let config =
+    { Vm1.Vm1_opt.default_config with
+      Vm1.Vm1_opt.sequence = [ { Vm1.Params.bw_um = 1.25; lx = 3; ly = 1 } ];
+      max_inner_iters = 1 }
+  in
+  ignore (Vm1.Vm1_opt.run ~config closed_params p);
+  let gauge =
+    Obs.Gauge.value (Obs.gauge "distopt.minor_words_per_window")
+  in
+  (* the same two passes by hand, on a copy of the input *)
+  let tech = q.Place.Placement.tech in
+  let move =
+    {
+      Vm1.Dist_opt.tx = 0;
+      ty = 0;
+      bw = max 14 (1250 / tech.Pdk.Tech.site_width);
+      bh = max 4 (1250 / tech.Pdk.Tech.row_height);
+      lx = 3;
+      ly = 1;
+      allow_flip = false;
+      allow_move = true;
+      mode = `Greedy;
+      parallel = false;
+      candidate_cost = None;
+    }
+  in
+  let s1 = Vm1.Dist_opt.run q closed_params move in
+  let s2 =
+    Vm1.Dist_opt.run q closed_params
+      { move with lx = 0; ly = 0; allow_flip = true; allow_move = false }
+  in
+  let per_window (ss : Vm1.Dist_opt.stats list) =
+    List.fold_left (fun a (s : Vm1.Dist_opt.stats) -> a +. s.minor_words) 0. ss
+    /. float_of_int
+         (List.fold_left (fun a (s : Vm1.Dist_opt.stats) -> a + s.windows) 0 ss)
+  in
+  checkb "several windows per pass" true (s1.Vm1.Dist_opt.windows > 1);
+  let expected = per_window [ s1; s2 ] in
+  checkb
+    (Printf.sprintf "gauge %.0f = both passes %.0f" gauge expected)
+    true
+    (Float.abs (gauge -. expected) <= 0.01 *. expected);
+  let flip_only = per_window [ s2 ] in
+  checkb
+    (Printf.sprintf "gauge %.0f above the flip-only pass alone %.0f" gauge
+       flip_only)
+    true
+    (gauge > 1.2 *. flip_only)
+
+(* with observability off DistOpt reads no GC counters: its stats carry
+   0 minor words *)
+let test_minor_words_obs_off () =
+  Obs.set_enabled false;
+  let p = placed ~n:250 closed_lib in
+  let tech = p.Place.Placement.tech in
+  let s =
+    Vm1.Dist_opt.run p closed_params
+      {
+        Vm1.Dist_opt.tx = 0;
+        ty = 0;
+        bw = max 14 (1250 / tech.Pdk.Tech.site_width);
+        bh = max 4 (1250 / tech.Pdk.Tech.row_height);
+        lx = 3;
+        ly = 1;
+        allow_flip = false;
+        allow_move = true;
+        mode = `Greedy;
+        parallel = false;
+        candidate_cost = None;
+      }
+  in
+  checkb "windows solved" true (s.Vm1.Dist_opt.windows > 0);
+  Alcotest.(check (float 0.)) "no words counted" 0. s.minor_words
+
 let test_vm1_opt_deterministic () =
   let p1 = placed ~n:300 closed_lib in
   let p2 = placed ~n:300 closed_lib in
@@ -631,6 +716,10 @@ let () =
           Alcotest.test_case "dist_opt" `Quick test_dist_opt_legal_and_improves;
           Alcotest.test_case "window span attrs" `Quick test_dist_opt_window_attrs;
           Alcotest.test_case "vm1_opt" `Quick test_vm1_opt_improves_and_legal;
+          Alcotest.test_case "minor words gauge covers every pass" `Quick
+            test_minor_words_all_passes;
+          Alcotest.test_case "minor words 0 with obs off" `Quick
+            test_minor_words_obs_off;
           Alcotest.test_case "deterministic" `Quick test_vm1_opt_deterministic;
           Alcotest.test_case "alpha=0 pure hpwl" `Quick test_vm1_opt_alpha_zero_pure_hpwl;
           Alcotest.test_case "parallel = sequential" `Quick test_parallel_matches_sequential;
